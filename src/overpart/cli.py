@@ -6,7 +6,7 @@ value), ``verify`` (run one named inequality over a range), ``lambda`` (the
 certified pairwise thresholds) and ``campaign`` (a named suite of checks).
 
 Reports are CSV (RFC 4180, header row) or JSONL, one record per subject, with
-the certified margin as a decimal string (exact integers for exact-mode
+the certified margin as a decimal string (exact integers for exact
 checks, directed-rounded scientific notation otherwise).  Exit codes: 0 when
 nothing failed and nothing was undecided, 3 on any failed verdict, 4 when the
 only blemishes are undecided verdicts, 2 on usage errors.
@@ -153,10 +153,11 @@ def cmd_value(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    if args.n < 1:
-        print("error: n must be positive", file=sys.stderr)
+    try:
+        params = SeriesParams(n=args.n, N=args.terms, precision_bits=args.bits)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    params = SeriesParams(n=args.n, N=args.terms, precision_bits=args.bits)
     try:
         trunc = rademacher_truncation(params)
     except UndecidedRealError as exc:
@@ -179,15 +180,10 @@ def cmd_approx(args) -> int:
 
 
 def _build_verify_spec(args) -> CheckSpec:
-    mode = "exact" if args.check in (
-        "log-concavity", "strong-log-concavity", "multiplicative",
-        "higher-turan", "u-monotone") else "interval"
     params = {}
     if args.check == "strong-log-concavity":
         params["m_policy"] = args.m_policy
-    if args.check == "multiplicative":
-        params["a_max"] = args.to_n
-    return CheckSpec(args.check, args.from_n, args.to_n, mode,
+    return CheckSpec(args.check, args.from_n, args.to_n,
                      precision_bits=args.bits, params=params)
 
 
@@ -206,13 +202,12 @@ def _emit(results: Sequence[CheckResult], args) -> int:
 def cmd_verify(args) -> int:
     try:
         spec = _build_verify_spec(args)
-    except ValueError as exc:
+        needed = table_requirement(spec)
+    except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    needed = table_requirement(spec)
     table = _resolve_table(args.table, needed) if needed else None
-    results = run_campaign(table, [spec], workers=args.jobs)
-    return _emit(results, args)
+    return _emit(run_campaign(table, [spec]), args)
 
 
 def cmd_lambda(args) -> int:
@@ -228,19 +223,18 @@ def cmd_lambda(args) -> int:
 # claimed onsets (third-order 2..15, ratio monotonicity 2..17) are available
 # through `verify` and are asserted by the test suite.
 DESK_SUITE = [
-    CheckSpec("log-concavity", 2, 5000, "exact"),
-    CheckSpec("strong-log-concavity", 2, 300, "exact", params={"m_policy": 1}),
-    CheckSpec("multiplicative", 2, 300, "exact", params={"a_max": 300}),
-    CheckSpec("delta2-log", 2, 5000, "interval"),
-    CheckSpec("higher-turan", 16, 5000, "exact"),
-    CheckSpec("u-monotone", 18, 2000, "exact"),
-    CheckSpec("fg-sandwich", 55, 2000, "interval"),
-    CheckSpec("g-vs-f-shift", 2, 5614, "interval"),
-    CheckSpec("f-vs-q", 92, 5000, "interval"),
+    CheckSpec("log-concavity", 2, 5000),
+    CheckSpec("strong-log-concavity", 2, 300, params={"m_policy": 1}),
+    CheckSpec("multiplicative", 2, 300, params={"a_max": 300}),
+    CheckSpec("delta2-log", 2, 5000),
+    CheckSpec("higher-turan", 16, 5000),
+    CheckSpec("u-monotone", 18, 2000),
+    CheckSpec("fg-sandwich", 55, 2000),
+    CheckSpec("g-vs-f-shift", 2, 5614),
+    CheckSpec("f-vs-q", 92, 5000),
 ]
 
-FULL_SUITE = [spec if spec.name != "f-vs-q" else
-              CheckSpec("f-vs-q", 92, 30984, "interval")
+FULL_SUITE = [spec if spec.name != "f-vs-q" else CheckSpec("f-vs-q", 92, 30984)
               for spec in DESK_SUITE]
 
 SUITES = {"paper-desk": DESK_SUITE, "paper-full": FULL_SUITE}
@@ -250,8 +244,7 @@ def cmd_campaign(args) -> int:
     specs = SUITES[args.suite]
     needed = max(table_requirement(spec) for spec in specs)
     table = _resolve_table(args.table, needed)
-    results = run_campaign(table, specs, workers=args.jobs)
-    return _emit(results, args)
+    return _emit(run_campaign(table, specs), args)
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -260,8 +253,6 @@ def cmd_campaign(args) -> int:
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--out", help="report file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (verdicts are independent of this)")
     parser.add_argument("--bits", type=int, default=128,
                         help="starting interval precision")
     parser.add_argument("--table", help=f"table file (default: ${ENV_TABLE} or build)")
@@ -321,9 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TableFormatError, OSError, exact_core.MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (IndexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -21,8 +21,10 @@ distinct parts).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 from typing import Iterator, List, Sequence, Tuple
 
 ENUMERATION_LIMIT = 60
@@ -195,14 +197,25 @@ _MAGIC = "OPART v1"
 
 
 def save_table(table: OverpartitionTable, path) -> str:
-    """Write the table; returns the hex digest recorded in the trailer."""
+    """Write the table; returns the hex digest recorded in the trailer.
+
+    The bytes go to a temporary file next to ``path`` that then replaces it,
+    so an interrupted write never leaves a partial table under ``path``.
+    """
     lines = [f"{_MAGIC} {table.max_n}\n"]
     lines.extend(f"{n}\t{value}\n" for n, value in enumerate(table.values))
     payload = "".join(lines).encode("ascii")
     digest = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(f"#sha256 {digest}\n".encode("ascii"))
+    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(payload)
+            fh.write(f"#sha256 {digest}\n".encode("ascii"))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     return digest
 
 

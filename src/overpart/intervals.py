@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
@@ -32,6 +32,7 @@ MAX_BITS = 8192
 
 Rational = Union[int, Fraction]
 Operand = Union[int, Fraction, "CertifiedInterval"]
+T = TypeVar("T")
 
 
 @lru_cache(maxsize=None)
@@ -253,16 +254,6 @@ def cosh_raw(ctx, x):
     return (e + 1 / e) / 2
 
 
-def sinh(x: CertifiedInterval) -> CertifiedInterval:
-    ctx = context(x.precision_bits)
-    return CertifiedInterval.from_ival(sinh_raw(ctx, x.ival(ctx)), x.precision_bits)
-
-
-def cosh(x: CertifiedInterval) -> CertifiedInterval:
-    ctx = context(x.precision_bits)
-    return CertifiedInterval.from_ival(cosh_raw(ctx, x.ival(ctx)), x.precision_bits)
-
-
 def cos_half_turns_raw(ctx, turns: Fraction):
     """cos(pi * turns) on the raw context, exact at quarter-turn points."""
     turns = turns % 2
@@ -284,18 +275,37 @@ def sin_half_turns_raw(ctx, turns: Fraction):
     return ctx.sin(ctx.pi * turns.numerator / turns.denominator)
 
 
-def cos_half_turns(turns: Rational, bits: int = DEFAULT_BITS) -> CertifiedInterval:
-    """Certified cos(pi * turns) for exact rational ``turns``."""
-    ctx = context(bits)
-    return CertifiedInterval.from_ival(cos_half_turns_raw(ctx, Fraction(turns)), bits)
-
-
-def sin_half_turns(turns: Rational, bits: int = DEFAULT_BITS) -> CertifiedInterval:
-    ctx = context(bits)
-    return CertifiedInterval.from_ival(sin_half_turns_raw(ctx, Fraction(turns)), bits)
-
-
 # -- adaptive sign resolution -------------------------------------------------
+
+
+def precision_ladder(
+    evaluate: Callable[[int], T],
+    settled: Callable[[T], bool],
+    start_bits: int = DEFAULT_BITS,
+    max_bits: int = MAX_BITS,
+) -> Tuple[int, T]:
+    """Evaluate at ``start_bits`` and double the precision until ``settled``
+    accepts the result or ``max_bits`` is reached.
+
+    Returns the last precision and its result; the caller reads an unsettled
+    result at the cap as undecided.
+    """
+    bits = start_bits
+    while True:
+        value = evaluate(bits)
+        if settled(value) or bits >= max_bits:
+            return bits, value
+        bits = min(2 * bits, max_bits)
+
+
+def _sign(gap: CertifiedInterval) -> Optional[int]:
+    if gap.is_positive():
+        return 1
+    if gap.is_negative():
+        return -1
+    if gap.lo == 0 and gap.hi == 0:
+        return 0
+    return None
 
 
 def certify_sign(
@@ -310,18 +320,8 @@ def certify_sign(
     an exactly-zero interval.  Returns ``(None, witness)`` when the sign still
     straddles zero at ``max_bits``.
     """
-    bits = start_bits
-    while True:
-        gap = gap_at(bits)
-        if gap.is_positive():
-            return 1, gap
-        if gap.is_negative():
-            return -1, gap
-        if gap.lo == 0 and gap.hi == 0:
-            return 0, gap
-        if bits >= max_bits:
-            return None, gap
-        bits = min(2 * bits, max_bits)
+    _, gap = precision_ladder(gap_at, lambda g: _sign(g) is not None, start_bits, max_bits)
+    return _sign(gap), gap
 
 
 # -- directed decimal rendering ------------------------------------------------

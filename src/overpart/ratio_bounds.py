@@ -29,7 +29,6 @@ consecutive u values, a correspondence the tests validate before relying on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -45,45 +44,14 @@ class DomainError(ValueError):
 # -- the exact ratio -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioValue:
-    """u_n as an exact rational in canonical form."""
-
-    n: int
-    exact: Fraction
-
-
-def u_ratio(table: OverpartitionTable, n: int) -> RatioValue:
+def u_ratio(table: OverpartitionTable, n: int) -> Fraction:
     """Exact u_n = pbar(n-1) pbar(n+1) / pbar(n)^2; needs 1 <= n < max_n."""
     if not 1 <= n <= table.max_n - 1:
         raise IndexError(f"n = {n} outside table range 1..{table.max_n - 1}")
-    value = Fraction(table[n - 1] * table[n + 1], table[n] ** 2)
-    return RatioValue(n=n, exact=value)
+    return Fraction(table[n - 1] * table[n + 1], table[n] ** 2)
 
 
-# -- the mu grid and the envelope ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FourPointGrid:
-    """mu at four consecutive indices, certified pairwise separated."""
-
-    x: CertifiedInterval
-    y: CertifiedInterval
-    z: CertifiedInterval
-    w: CertifiedInterval
-
-    @classmethod
-    def at(cls, n: int, precision_bits: int = DEFAULT_BITS) -> "FourPointGrid":
-        if n < 2:
-            raise ValueError(f"grid needs n >= 2, got {n}")
-        ctx = context(precision_bits)
-        pts = [CertifiedInterval.from_ival(_mu_raw(ctx, m), precision_bits)
-               for m in (n - 1, n, n + 1, n + 2)]
-        for a, b in zip(pts, pts[1:]):
-            if not a.hi < b.lo:
-                raise DomainError(f"grid points not separated at {precision_bits} bits")
-        return cls(*pts)
+# -- the envelope ---------------------------------------------------------------
 
 
 def _envelope_raw(ctx, x, y, z, signed: int):
@@ -118,16 +86,6 @@ def ratio_upper_bound(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedIn
     ctx = context(precision_bits)
     _, upper = _bounds_pair_raw(ctx, n)
     return CertifiedInterval.from_ival(upper, precision_bits)
-
-
-def ratio_bounds_pair(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[CertifiedInterval, CertifiedInterval]:
-    """Both envelope members with the mu grid computed once."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    ctx = context(precision_bits)
-    lower, upper = _bounds_pair_raw(ctx, n)
-    return (CertifiedInterval.from_ival(lower, precision_bits),
-            CertifiedInterval.from_ival(upper, precision_bits))
 
 
 # -- the quadratic's upper root and its diagonal gap ------------------------------
@@ -171,7 +129,7 @@ def diagonal_gap(t: CertifiedInterval) -> CertifiedInterval:
 
 
 def turan_quadratic_roots(
-    u: RatioValue | Fraction,
+    u: Fraction,
     precision_bits: int = DEFAULT_BITS,
 ) -> Tuple[CertifiedInterval, CertifiedInterval]:
     """Both roots (P(u), Q(u)) of F(t) = 4(1-u)(1-t) - (1-ut)^2 for exact
@@ -181,7 +139,7 @@ def turan_quadratic_roots(
     root-interval argument collapses (the n = 2 equality case is handled as an
     explicit equality verdict by the verifiers instead).
     """
-    value = u.exact if isinstance(u, RatioValue) else Fraction(u)
+    value = Fraction(u)
     if value == 1:
         raise DomainError("u = 1 gives a double root; no open positivity window")
     if not 0 < value < 1:

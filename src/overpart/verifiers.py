@@ -4,33 +4,34 @@ Each check sweeps a range of indices (or index pairs) and produces one of four
 verdicts per subject: ``holds``, ``equality``, ``fails`` or ``undecided``.
 Checks whose expression is rational in the table values run in exact integer
 arithmetic and can never be undecided; the rest certify signs with interval
-arithmetic on an adaptive precision ladder (double until resolved, undecided
-past the cap, never guessed).  Equality is deliberately its own verdict: the
-n = 2 log-concavity equality, the (n, m) = (2, 1) case and the third-order
-zeros at n = 4, 5 are findings a report must surface, not fold into "holds".
+arithmetic on the adaptive precision ladder of :mod:`overpart.intervals`
+(double until resolved, undecided past the cap, never guessed).  Equality is
+deliberately its own verdict: the n = 2 log-concavity equality, the
+(n, m) = (2, 1) case and the third-order zeros at n = 4, 5 are findings a
+report must surface, not fold into "holds".
 
-Work is split into contiguous blocks of 256 subjects; blocks may be evaluated
-by a thread pool and are reassembled in index order, so verdict vectors do not
-depend on the worker count.
+Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
+the table it needs, its subjects and its per-subject evaluator.
+:func:`run_check` validates a spec against its entry once, then sweeps the
+subjects in index order.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .exact_core import OverpartitionTable
 from .intervals import (
     DEFAULT_BITS,
-    MAX_BITS,
     CertifiedInterval,
     certify_sign,
     context,
     directed_decimal,
+    precision_ladder,
 )
 from .asymptotics import _mu_raw
 from .ratio_bounds import (
@@ -40,8 +41,6 @@ from .ratio_bounds import (
     higher_turan_integer,
     u_ratio,
 )
-
-BLOCK_SIZE = 256
 
 
 class Verdict(str, enum.Enum):
@@ -56,20 +55,22 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """A named inequality, a range, an arithmetic mode and a start precision."""
+    """A registered inequality, a range and a start precision."""
 
     name: str
     from_n: int
     to_n: int
-    mode: str = "exact"
     precision_bits: int = DEFAULT_BITS
     params: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.name not in CHECKS:
+            raise ValueError(f"unknown check {self.name!r}")
         if self.from_n > self.to_n:
             raise ValueError(f"empty range {self.from_n}..{self.to_n}")
-        if self.mode not in ("exact", "interval"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.precision_bits, int) or self.precision_bits < 2:
+            raise ValueError(
+                f"precision_bits must be an integer of at least 2, got {self.precision_bits!r}")
 
 
 @dataclass(frozen=True)
@@ -113,24 +114,7 @@ class CheckResult:
                 f"({self.wall_time:.2f}s)")
 
 
-# -- sweep machinery ---------------------------------------------------------------
-
-
-def _run_sweep(
-    spec: CheckSpec,
-    subjects: Sequence,
-    evaluate: Callable,
-    workers: int = 1,
-) -> CheckResult:
-    start = time.perf_counter()
-    if workers > 1 and len(subjects) > BLOCK_SIZE:
-        blocks = [subjects[i:i + BLOCK_SIZE] for i in range(0, len(subjects), BLOCK_SIZE)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda block: [evaluate(s) for s in block], blocks))
-        items = [item for chunk in chunks for item in chunk]
-    else:
-        items = [evaluate(s) for s in subjects]
-    return CheckResult(spec=spec, items=items, wall_time=time.perf_counter() - start)
+# -- per-subject verdicts -----------------------------------------------------------
 
 
 def _exact_item(subject: str, value: int) -> CheckItem:
@@ -143,61 +127,221 @@ def _exact_item(subject: str, value: int) -> CheckItem:
     return CheckItem(subject=subject, verdict=verdict, margin=str(value), precision_bits=0)
 
 
-def _interval_item(
-    subject: str,
-    gaps_at: Callable[[int], List[CertifiedInterval]],
-    start_bits: int,
-) -> CheckItem:
-    """Certify that every gap in the list is positive; fails on any certified
-    negative; escalates precision otherwise."""
-    bits = start_bits
-    while True:
-        gaps = gaps_at(bits)
-        negative = [g for g in gaps if g.is_negative()]
-        if negative:
-            worst = min(negative, key=lambda g: g.hi_fraction())
-            return CheckItem(subject, Verdict.FAILS,
-                             directed_decimal(worst.hi_fraction(), round_up=True), bits)
-        if all(g.is_positive() for g in gaps):
-            margin = min(g.lo_fraction() for g in gaps)
-            return CheckItem(subject, Verdict.HOLDS,
-                             directed_decimal(margin, round_up=False), bits)
-        if bits >= MAX_BITS:
-            unresolved = min((g for g in gaps if not g.is_positive()),
-                             key=lambda g: g.lo_fraction())
-            margin = (directed_decimal(unresolved.lo_fraction(), round_up=False)
-                      + ".." + directed_decimal(unresolved.hi_fraction(), round_up=True))
-            return CheckItem(subject, Verdict.UNDECIDED, margin, bits)
-        bits = min(2 * bits, MAX_BITS)
+def _settled(gaps: List[CertifiedInterval]) -> bool:
+    return any(g.is_negative() for g in gaps) or all(g.is_positive() for g in gaps)
 
 
-def _require_range(table: OverpartitionTable, low: int, high: int) -> None:
-    if low < 0 or high > table.max_n:
-        raise IndexError(
-            f"check needs pbar({low}..{high}), table stops at {table.max_n}")
+def _interval_item(subject: str, gaps_at: Callable, start_bits: int) -> CheckItem:
+    """Certify that every gap ``gaps_at(ctx)`` returns is positive; fails on
+    any certified negative gap, undecided when the ladder's cap is reached
+    with neither."""
+    bits, gaps = precision_ladder(
+        lambda b: [CertifiedInterval.from_ival(g, b) for g in gaps_at(context(b))],
+        _settled, start_bits)
+    negative = [g for g in gaps if g.is_negative()]
+    if negative:
+        worst = min(negative, key=lambda g: g.hi_fraction())
+        return CheckItem(subject, Verdict.FAILS,
+                         directed_decimal(worst.hi_fraction(), round_up=True), bits)
+    if all(g.is_positive() for g in gaps):
+        margin = min(g.lo_fraction() for g in gaps)
+        return CheckItem(subject, Verdict.HOLDS,
+                         directed_decimal(margin, round_up=False), bits)
+    unresolved = min((g for g in gaps if not g.is_positive()),
+                     key=lambda g: g.lo_fraction())
+    margin = (directed_decimal(unresolved.lo_fraction(), round_up=False)
+              + ".." + directed_decimal(unresolved.hi_fraction(), round_up=True))
+    return CheckItem(subject, Verdict.UNDECIDED, margin, bits)
 
 
-# -- exact checks -------------------------------------------------------------------
+# -- subjects and evaluators --------------------------------------------------------
+#
+# An exact evaluator returns an integer whose sign is the verdict.  An interval
+# evaluator returns gaps(ctx), the raw intervals that must all be positive,
+# re-evaluated at each rung of the ladder.
 
 
-def check_log_concavity(
-    table: OverpartitionTable,
-    from_n: int,
-    to_n: int,
-    *,
-    workers: int = 1,
-) -> CheckResult:
+def _indices(spec: CheckSpec) -> Iterable[Tuple[str, int]]:
+    return ((f"n={n}", n) for n in range(spec.from_n, spec.to_n + 1))
+
+
+def _strong_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
+    m_policy = spec.params.get("m_policy", 1)
+    return ((f"n={n},m={m}", (n, m)) for n in range(spec.from_n, spec.to_n + 1)
+            for m in range(m_policy, n))
+
+
+def _strong_top(spec: CheckSpec) -> int:
+    m_policy = spec.params.get("m_policy", 1)
+    if m_policy not in (1, 2):
+        raise ValueError(f"m_policy must be 1 or 2, got {m_policy}")
+    return 2 * spec.to_n - 1
+
+
+def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
+    a_max = spec.params.get("a_max", spec.to_n)
+    return ((f"a={a},b={b}", (a, b)) for a in range(2, a_max + 1)
+            for b in range(a, spec.to_n + 1))
+
+
+def _multiplicative_top(spec: CheckSpec) -> int:
+    a_max, b_max = spec.params.get("a_max", spec.to_n), spec.to_n
+    if a_max < 2 or b_max < a_max:
+        raise ValueError(f"need 2 <= a_max <= b_max, got {a_max}, {b_max}")
+    return a_max + b_max
+
+
+def _log_concavity(table: OverpartitionTable, n: int) -> int:
+    return table[n] ** 2 - table[n - 1] * table[n + 1]
+
+
+def _strong_log_concavity(table: OverpartitionTable, pair: Tuple[int, int]) -> int:
+    n, m = pair
+    return table[n] ** 2 - table[n - m] * table[n + m]
+
+
+def _multiplicative(table: OverpartitionTable, pair: Tuple[int, int]) -> int:
+    a, b = pair
+    return table[a] * table[b] - table[a + b]
+
+
+def _u_monotone(table: OverpartitionTable, n: int) -> int:
+    return table[n] ** 3 * table[n + 2] - table[n - 1] * table[n + 1] ** 3
+
+
+def _delta2_log(table: OverpartitionTable, n: int) -> Callable:
+    outer = table[n - 1] * table[n + 1]
+    square = table[n] ** 2
+
+    def gaps(ctx):
+        n32 = ctx.sqrt(ctx.mpf(n)) * n
+        return [ctx.mpf(outer) * ctx.pi + 4 * n32 * ctx.mpf(outer - square)]
+
+    return gaps
+
+
+def _fg_sandwich(table: OverpartitionTable, n: int) -> Callable:
+    u = u_ratio(table, n)
+
+    def gaps(ctx):
+        lower, upper = _bounds_pair_raw(ctx, n)
+        ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
+        return [ui - lower, upper - ui]
+
+    return gaps
+
+
+def _g_vs_f_shift(table: Optional[OverpartitionTable], n: int) -> Callable:
+    def gaps(ctx):
+        x, y, z, w = (_mu_raw(ctx, m) for m in range(n - 1, n + 3))
+        lower_n = _envelope_raw(ctx, x, y, z, -1)
+        upper_next = _envelope_raw(ctx, y, z, w, +1)
+        return [lower_n + 1000 / x ** 5 - upper_next]
+
+    return gaps
+
+
+def _f_vs_q(table: OverpartitionTable, n: int) -> Callable:
+    u = u_ratio(table, n)
+
+    def gaps(ctx):
+        x, y, z = (_mu_raw(ctx, m) for m in range(n - 1, n + 2))
+        lower_n = _envelope_raw(ctx, x, y, z, -1)
+        ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
+        return [_q_raw(ctx, ui) - lower_n - 1000 / x ** 5]
+
+    return gaps
+
+
+# -- the registry -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """Everything the engine knows about one named inequality.
+
+    ``table_top(spec)`` is the highest index of pbar the spec reads (0 when
+    the check reads no table) and raises ValueError on parameters the check
+    does not accept; ``subjects(spec)`` yields (label, subject) pairs in report
+    order; ``evaluate(table, subject)`` is exact or interval as ``exact`` says.
+    """
+
+    name: str
+    exact: bool
+    min_n: int
+    table_top: Callable[[CheckSpec], int]
+    subjects: Callable[[CheckSpec], Iterable]
+    evaluate: Callable
+
+
+def _next(spec: CheckSpec) -> int:
+    return spec.to_n + 1
+
+
+def _next_two(spec: CheckSpec) -> int:
+    return spec.to_n + 2
+
+
+# The paper's checks in report order: name, exact, lowest n, table top,
+# subjects, evaluator.  The lower end of a multiplicative spec's range is
+# unused: its pairs always start at a = 2.
+CHECKS: Dict[str, Check] = {check.name: check for check in (
+    Check("log-concavity", True, 1, _next, _indices, _log_concavity),
+    Check("strong-log-concavity", True, 2, _strong_top, _strong_pairs, _strong_log_concavity),
+    Check("multiplicative", True, 0, _multiplicative_top, _multiplicative_pairs, _multiplicative),
+    Check("delta2-log", False, 1, _next, _indices, _delta2_log),
+    Check("higher-turan", True, 1, _next_two, _indices, higher_turan_integer),
+    Check("u-monotone", True, 1, _next_two, _indices, _u_monotone),
+    Check("fg-sandwich", False, 2, _next, _indices, _fg_sandwich),
+    Check("g-vs-f-shift", False, 2, lambda spec: 0, _indices, _g_vs_f_shift),
+    Check("f-vs-q", False, 2, _next, _indices, _f_vs_q),
+)}
+
+CHECK_NAMES = tuple(CHECKS)
+
+
+def table_requirement(spec: CheckSpec) -> int:
+    """Largest index of pbar a check needs, 0 when it reads no table.
+
+    This is the registry's range check: raises IndexError when the range
+    starts below the check's lowest n, ValueError on bad parameters.
+    """
+    check = CHECKS[spec.name]
+    top = check.table_top(spec)
+    if spec.from_n < check.min_n:
+        raise IndexError(f"{spec.name} needs n >= {check.min_n}")
+    return top
+
+
+def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
+    """Validate ``spec`` against its registry entry and ``table``, then sweep."""
+    needed = table_requirement(spec)
+    if needed and needed > table.max_n:
+        raise IndexError(f"{spec.name} needs pbar(0..{needed}), table stops at {table.max_n}")
+    check = CHECKS[spec.name]
+    start = time.perf_counter()
+    items = []
+    for label, subject in check.subjects(spec):
+        value = check.evaluate(table, subject)
+        items.append(_exact_item(label, value) if check.exact
+                     else _interval_item(label, value, spec.precision_bits))
+    return CheckResult(spec=spec, items=items, wall_time=time.perf_counter() - start)
+
+
+def run_campaign(
+    table: Optional[OverpartitionTable],
+    specs: Sequence[CheckSpec],
+) -> List[CheckResult]:
+    """Run checks in order."""
+    return [run_check(table, spec) for spec in specs]
+
+
+# -- the paper's checks -------------------------------------------------------------
+
+
+def check_log_concavity(table: OverpartitionTable, from_n: int, to_n: int) -> CheckResult:
     """Sign of pbar(n)^2 - pbar(n-1) pbar(n+1); equality occurs at n = 2."""
-    if from_n < 1:
-        raise IndexError("log-concavity needs n >= 1")
-    _require_range(table, from_n - 1, to_n + 1)
-    spec = CheckSpec("log-concavity", from_n, to_n, "exact")
-
-    def evaluate(n: int) -> CheckItem:
-        value = table[n] ** 2 - table[n - 1] * table[n + 1]
-        return _exact_item(f"n={n}", value)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("log-concavity", from_n, to_n))
 
 
 def check_strong_log_concavity(
@@ -206,7 +350,6 @@ def check_strong_log_concavity(
     to_n: int,
     *,
     m_policy: int = 1,
-    workers: int = 1,
 ) -> CheckResult:
     """Sign of pbar(n)^2 - pbar(n-m) pbar(n+m) over all pairs with
     n in the range and m_policy <= m < n.
@@ -215,90 +358,27 @@ def check_strong_log_concavity(
     both are audited because the stated equality case (n, m) = (2, 1) uses
     m = 1 while the hypothesis excludes it.
     """
-    if m_policy not in (1, 2):
-        raise ValueError(f"m_policy must be 1 or 2, got {m_policy}")
-    if from_n < 2:
-        raise IndexError("strong log-concavity needs n >= 2")
-    _require_range(table, 0, 2 * to_n - 1)
-    spec = CheckSpec("strong-log-concavity", from_n, to_n, "exact",
-                     params={"m_policy": m_policy})
-    subjects = [(n, m) for n in range(from_n, to_n + 1)
-                for m in range(m_policy, n)]
-
-    def evaluate(pair: Tuple[int, int]) -> CheckItem:
-        n, m = pair
-        value = table[n] ** 2 - table[n - m] * table[n + m]
-        return _exact_item(f"n={n},m={m}", value)
-
-    return _run_sweep(spec, subjects, evaluate, workers)
+    return run_check(table, CheckSpec("strong-log-concavity", from_n, to_n,
+                                      params={"m_policy": m_policy}))
 
 
-def check_multiplicative(
-    table: OverpartitionTable,
-    a_max: int,
-    b_max: int,
-    *,
-    workers: int = 1,
-) -> CheckResult:
+def check_multiplicative(table: OverpartitionTable, a_max: int, b_max: int) -> CheckResult:
     """Sign of pbar(a) pbar(b) - pbar(a+b) over 2 <= a <= b, a <= a_max,
     b <= b_max."""
-    if a_max < 2 or b_max < a_max:
-        raise ValueError(f"need 2 <= a_max <= b_max, got {a_max}, {b_max}")
-    _require_range(table, 0, a_max + b_max)
-    spec = CheckSpec("multiplicative", 2, b_max, "exact", params={"a_max": a_max})
-    subjects = [(a, b) for a in range(2, a_max + 1) for b in range(a, b_max + 1)]
-
-    def evaluate(pair: Tuple[int, int]) -> CheckItem:
-        a, b = pair
-        value = table[a] * table[b] - table[a + b]
-        return _exact_item(f"a={a},b={b}", value)
-
-    return _run_sweep(spec, subjects, evaluate, workers)
+    return run_check(table, CheckSpec("multiplicative", 2, b_max, params={"a_max": a_max}))
 
 
-def check_higher_turan(
-    table: OverpartitionTable,
-    from_n: int,
-    to_n: int,
-    *,
-    workers: int = 1,
-) -> CheckResult:
+def check_higher_turan(table: OverpartitionTable, from_n: int, to_n: int) -> CheckResult:
     """Exact sign of the third-order expression
     4(1-u_n)(1-u_{n+1}) - (1-u_n u_{n+1})^2 (denominator cleared)."""
-    if from_n < 1:
-        raise IndexError("higher-turan needs n >= 1")
-    _require_range(table, from_n - 1, to_n + 2)
-    spec = CheckSpec("higher-turan", from_n, to_n, "exact")
-
-    def evaluate(n: int) -> CheckItem:
-        return _exact_item(f"n={n}", higher_turan_integer(table, n))
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("higher-turan", from_n, to_n))
 
 
-def check_u_monotone(
-    table: OverpartitionTable,
-    from_n: int,
-    to_n: int,
-    *,
-    workers: int = 1,
-) -> CheckResult:
+def check_u_monotone(table: OverpartitionTable, from_n: int, to_n: int) -> CheckResult:
     """Exact sign of u_{n+1} - u_n, cleared to
     pbar(n)^3 pbar(n+2) - pbar(n-1) pbar(n+1)^3; records where the ratio
     starts increasing instead of assuming a cited range."""
-    if from_n < 1:
-        raise IndexError("u-monotone needs n >= 1")
-    _require_range(table, from_n - 1, to_n + 2)
-    spec = CheckSpec("u-monotone", from_n, to_n, "exact")
-
-    def evaluate(n: int) -> CheckItem:
-        value = table[n] ** 3 * table[n + 2] - table[n - 1] * table[n + 1] ** 3
-        return _exact_item(f"n={n}", value)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
-
-
-# -- interval checks ----------------------------------------------------------------
+    return run_check(table, CheckSpec("u-monotone", from_n, to_n))
 
 
 def check_delta2_log(
@@ -307,30 +387,12 @@ def check_delta2_log(
     to_n: int,
     *,
     precision_bits: int = DEFAULT_BITS,
-    workers: int = 1,
 ) -> CheckResult:
     """(pbar(n-1)/pbar(n)) (1 + pi/(4 n^{3/2})) >= pbar(n)/pbar(n+1),
     rearranged to the sign of
     pbar(n-1) pbar(n+1) (4 n^{3/2} + pi) - 4 n^{3/2} pbar(n)^2
     with pi (and sqrt n) interval-valued; degree-0 homogeneous in the table."""
-    if from_n < 1:
-        raise IndexError("delta2-log needs n >= 1")
-    _require_range(table, from_n - 1, to_n + 1)
-    spec = CheckSpec("delta2-log", from_n, to_n, "interval", precision_bits)
-
-    def evaluate(n: int) -> CheckItem:
-        outer = table[n - 1] * table[n + 1]
-        square = table[n] ** 2
-
-        def gaps(bits: int) -> List[CertifiedInterval]:
-            ctx = context(bits)
-            n32 = ctx.sqrt(ctx.mpf(n)) * n
-            value = ctx.mpf(outer) * ctx.pi + 4 * n32 * ctx.mpf(outer - square)
-            return [CertifiedInterval.from_ival(value, bits)]
-
-        return _interval_item(f"n={n}", gaps, precision_bits)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("delta2-log", from_n, to_n, precision_bits))
 
 
 def check_fg_sandwich(
@@ -339,28 +401,10 @@ def check_fg_sandwich(
     to_n: int,
     *,
     precision_bits: int = DEFAULT_BITS,
-    workers: int = 1,
 ) -> CheckResult:
     """Certify lower(n) < u_n < upper(n) for the envelope pair; claimed from
     n = 55, swept wherever asked."""
-    if from_n < 2:
-        raise IndexError("fg-sandwich needs n >= 2")
-    _require_range(table, from_n - 1, to_n + 1)
-    spec = CheckSpec("fg-sandwich", from_n, to_n, "interval", precision_bits)
-
-    def evaluate(n: int) -> CheckItem:
-        u = u_ratio(table, n).exact
-
-        def gaps(bits: int) -> List[CertifiedInterval]:
-            ctx = context(bits)
-            lower, upper = _bounds_pair_raw(ctx, n)
-            ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
-            return [CertifiedInterval.from_ival(ui - lower, bits),
-                    CertifiedInterval.from_ival(upper - ui, bits)]
-
-        return _interval_item(f"n={n}", gaps, precision_bits)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("fg-sandwich", from_n, to_n, precision_bits))
 
 
 def check_g_vs_f_shift(
@@ -369,31 +413,12 @@ def check_g_vs_f_shift(
     to_n: int,
     *,
     precision_bits: int = DEFAULT_BITS,
-    workers: int = 1,
 ) -> CheckResult:
     """Certify upper(n+1) < lower(n) + 1000/mu(n-1)^5 for n >= 2.
 
     Pure mu-arithmetic; the table argument is accepted for interface
     uniformity and unused."""
-    if from_n < 2:
-        raise IndexError("g-vs-f-shift needs n >= 2")
-    spec = CheckSpec("g-vs-f-shift", from_n, to_n, "interval", precision_bits)
-
-    def evaluate(n: int) -> CheckItem:
-        def gaps(bits: int) -> List[CertifiedInterval]:
-            ctx = context(bits)
-            x = _mu_raw(ctx, n - 1)
-            y = _mu_raw(ctx, n)
-            z = _mu_raw(ctx, n + 1)
-            w = _mu_raw(ctx, n + 2)
-            lower_n = _envelope_raw(ctx, x, y, z, -1)
-            upper_next = _envelope_raw(ctx, y, z, w, +1)
-            value = lower_n + 1000 / x ** 5 - upper_next
-            return [CertifiedInterval.from_ival(value, bits)]
-
-        return _interval_item(f"n={n}", gaps, precision_bits)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("g-vs-f-shift", from_n, to_n, precision_bits))
 
 
 def check_f_vs_q(
@@ -402,31 +427,10 @@ def check_f_vs_q(
     to_n: int,
     *,
     precision_bits: int = DEFAULT_BITS,
-    workers: int = 1,
 ) -> CheckResult:
     """Certify lower(n) + 1000/mu(n-1)^5 < Q(u_n), Q applied to the exact
     ratio widened to a point interval; claimed from n = 92."""
-    if from_n < 2:
-        raise IndexError("f-vs-q needs n >= 2")
-    _require_range(table, from_n - 1, to_n + 1)
-    spec = CheckSpec("f-vs-q", from_n, to_n, "interval", precision_bits)
-
-    def evaluate(n: int) -> CheckItem:
-        u = u_ratio(table, n).exact
-
-        def gaps(bits: int) -> List[CertifiedInterval]:
-            ctx = context(bits)
-            x = _mu_raw(ctx, n - 1)
-            y = _mu_raw(ctx, n)
-            z = _mu_raw(ctx, n + 1)
-            lower_n = _envelope_raw(ctx, x, y, z, -1)
-            ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
-            value = _q_raw(ctx, ui) - lower_n - 1000 / x ** 5
-            return [CertifiedInterval.from_ival(value, bits)]
-
-        return _interval_item(f"n={n}", gaps, precision_bits)
-
-    return _run_sweep(spec, range(from_n, to_n + 1), evaluate, workers)
+    return run_check(table, CheckSpec("f-vs-q", from_n, to_n, precision_bits))
 
 
 # -- the pairwise threshold table -----------------------------------------------------
@@ -495,77 +499,3 @@ def solve_lambda_table(width: Fraction = Fraction(9, 10 ** 7)) -> LambdaTable:
                 hi = mid
         entries[a] = CertifiedInterval.from_pair(lo, hi, DEFAULT_BITS)
     return LambdaTable(entries=entries)
-
-
-# -- registry and campaign -------------------------------------------------------------
-
-
-def _run_named(table: Optional[OverpartitionTable], spec: CheckSpec, workers: int) -> CheckResult:
-    name = spec.name
-    if name == "log-concavity":
-        return check_log_concavity(table, spec.from_n, spec.to_n, workers=workers)
-    if name == "strong-log-concavity":
-        return check_strong_log_concavity(
-            table, spec.from_n, spec.to_n,
-            m_policy=spec.params.get("m_policy", 1), workers=workers)
-    if name == "multiplicative":
-        return check_multiplicative(
-            table, spec.params.get("a_max", spec.to_n), spec.to_n, workers=workers)
-    if name == "higher-turan":
-        return check_higher_turan(table, spec.from_n, spec.to_n, workers=workers)
-    if name == "u-monotone":
-        return check_u_monotone(table, spec.from_n, spec.to_n, workers=workers)
-    if name == "delta2-log":
-        return check_delta2_log(table, spec.from_n, spec.to_n,
-                                precision_bits=spec.precision_bits, workers=workers)
-    if name == "fg-sandwich":
-        return check_fg_sandwich(table, spec.from_n, spec.to_n,
-                                 precision_bits=spec.precision_bits, workers=workers)
-    if name == "g-vs-f-shift":
-        return check_g_vs_f_shift(table, spec.from_n, spec.to_n,
-                                  precision_bits=spec.precision_bits, workers=workers)
-    if name == "f-vs-q":
-        return check_f_vs_q(table, spec.from_n, spec.to_n,
-                            precision_bits=spec.precision_bits, workers=workers)
-    raise ValueError(f"unknown check {name!r}")
-
-
-CHECK_NAMES = (
-    "log-concavity",
-    "strong-log-concavity",
-    "multiplicative",
-    "delta2-log",
-    "higher-turan",
-    "u-monotone",
-    "fg-sandwich",
-    "g-vs-f-shift",
-    "f-vs-q",
-)
-
-EXACT_CHECKS = frozenset(
-    ("log-concavity", "strong-log-concavity", "multiplicative", "higher-turan", "u-monotone"))
-
-
-def table_requirement(spec: CheckSpec) -> int:
-    """Largest index of pbar a check needs."""
-    name, to_n = spec.name, spec.to_n
-    if name in ("log-concavity", "delta2-log", "fg-sandwich", "f-vs-q"):
-        return to_n + 1
-    if name in ("higher-turan", "u-monotone"):
-        return to_n + 2
-    if name == "strong-log-concavity":
-        return 2 * to_n - 1
-    if name == "multiplicative":
-        return spec.params.get("a_max", to_n) + to_n
-    if name == "g-vs-f-shift":
-        return 0
-    raise ValueError(f"unknown check {name!r}")
-
-
-def run_campaign(
-    table: Optional[OverpartitionTable],
-    specs: Sequence[CheckSpec],
-    workers: int = 1,
-) -> List[CheckResult]:
-    """Run checks in order; verdict vectors are independent of ``workers``."""
-    return [_run_named(table, spec, workers) for spec in specs]

@@ -195,7 +195,7 @@ def test_criterion_8_ratio_vs_quadratic_desk(desk_table):
 def test_criterion_8_ratio_vs_quadratic_full():
     start = time.perf_counter()
     table = build_table(30986)
-    result = check_f_vs_q(table, 92, 30984, workers=os.cpu_count() or 1)
+    result = check_f_vs_q(table, 92, 30984)
     elapsed = time.perf_counter() - start
     ok = result.ok and elapsed < 7200.0
     _report("8-full", ok, elapsed, "92..30984 sweep")

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
+
+import pytest
 
 from overpart import build_table, save_table
 from overpart.cli import (
@@ -15,7 +18,7 @@ from overpart.cli import (
     records_from_results,
     write_report,
 )
-from overpart.verifiers import CheckItem, CheckResult, CheckSpec, Verdict
+from overpart.verifiers import CHECKS, CheckItem, CheckResult, CheckSpec, Verdict
 
 
 def run_cli(*argv):
@@ -92,6 +95,7 @@ def test_approx_within_bound(capsys):
 
 def test_approx_validation(capsys):
     assert run_cli("approx", "0") == EXIT_USAGE
+    assert run_cli("approx", "5", "--bits", "1") == EXIT_USAGE
 
 
 def test_approx_large_n_within_bound(capsys):
@@ -181,15 +185,25 @@ def test_verify_m_policy_flag(capsys):
     assert all(r.verdict == "holds" for r in _parse_csv(captured.out))
 
 
-def test_verify_jobs_flag_deterministic(capsys):
-    code = run_cli("verify", "--check", "log-concavity", "--from", "2", "--to", "600",
-                   "--jobs", "1")
-    single = capsys.readouterr().out
-    code2 = run_cli("verify", "--check", "log-concavity", "--from", "2", "--to", "600",
-                    "--jobs", "8")
-    multi = capsys.readouterr().out
-    assert code == code2 == EXIT_OK
-    assert single == multi
+def test_verify_range_and_bits_usage_errors(capsys):
+    for argv in (("log-concavity", "--from", "0", "--to", "5"),
+                 ("fg-sandwich", "--from", "1", "--to", "5"),
+                 ("delta2-log", "--from", "2", "--to", "5", "--bits", "1")):
+        assert run_cli("verify", "--check", *argv) == EXIT_USAGE, argv
+    assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_verify_internal_error_propagates(monkeypatch):
+    # An IndexError raised mid-sweep is a bug, not a usage error.
+    def broken(table, n):
+        if n == 5:
+            raise IndexError("evaluator bug")
+        return 1
+
+    check = dataclasses.replace(CHECKS["log-concavity"], evaluate=broken)
+    monkeypatch.setitem(CHECKS, "log-concavity", check)
+    with pytest.raises(IndexError, match="evaluator bug"):
+        run_cli("verify", "--check", "log-concavity", "--from", "2", "--to", "8")
 
 
 # -- lambda ------------------------------------------------------------------------
@@ -224,15 +238,15 @@ def test_campaign_scaled_down(tmp_path, capsys, monkeypatch):
     # path (build table, run all checks, serialize, aggregate exit code) stays
     # a quick test.
     tiny = [
-        CheckSpec("log-concavity", 2, 60, "exact"),
-        CheckSpec("strong-log-concavity", 2, 30, "exact", params={"m_policy": 1}),
-        CheckSpec("multiplicative", 2, 30, "exact", params={"a_max": 30}),
-        CheckSpec("delta2-log", 2, 60, "interval"),
-        CheckSpec("higher-turan", 16, 60, "exact"),
-        CheckSpec("u-monotone", 18, 60, "exact"),
-        CheckSpec("fg-sandwich", 55, 70, "interval"),
-        CheckSpec("g-vs-f-shift", 2, 40, "interval"),
-        CheckSpec("f-vs-q", 92, 110, "interval"),
+        CheckSpec("log-concavity", 2, 60),
+        CheckSpec("strong-log-concavity", 2, 30, params={"m_policy": 1}),
+        CheckSpec("multiplicative", 2, 30, params={"a_max": 30}),
+        CheckSpec("delta2-log", 2, 60),
+        CheckSpec("higher-turan", 16, 60),
+        CheckSpec("u-monotone", 18, 60),
+        CheckSpec("fg-sandwich", 55, 70),
+        CheckSpec("g-vs-f-shift", 2, 40),
+        CheckSpec("f-vs-q", 92, 110),
     ]
     monkeypatch.setitem(SUITES, "paper-desk", tiny)
     out = tmp_path / "campaign.jsonl"

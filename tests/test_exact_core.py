@@ -87,6 +87,40 @@ def test_load_truncated_file(tmp_path):
         load_table(path)
 
 
+def _failing_open(real_open):
+    """open() whose file handles fail after writing half of their first write."""
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    return lambda path, mode="r", *args, **kwargs: HalfWriter(real_open(path, mode, *args, **kwargs))
+
+
+def test_save_is_atomic(tmp_path, monkeypatch):
+    from overpart import exact_core
+
+    fresh, existing = tmp_path / "fresh.tbl", tmp_path / "existing.tbl"
+    save_table(build_table(10), existing)
+    old = existing.read_bytes()
+    monkeypatch.setattr(exact_core, "open", _failing_open(open), raising=False)
+    for path in (fresh, existing):
+        with pytest.raises(OSError, match="disk full"):
+            save_table(build_table(60), path)
+    assert not fresh.exists()
+    assert existing.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.tbl"]
+
+
 def test_load_checksum_mismatch(tmp_path):
     path = tmp_path / "t.tbl"
     save_table(build_table(10), path)

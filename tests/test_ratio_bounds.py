@@ -6,13 +6,11 @@ import pytest
 from overpart import (
     CertifiedInterval,
     DomainError,
-    FourPointGrid,
     diagonal_gap,
     higher_turan_integer,
     jensen_cubic,
     quadratic_upper_root,
     quadratic_upper_root_exact,
-    ratio_bounds_pair,
     ratio_lower_bound,
     ratio_upper_bound,
     trunc_exp_lower,
@@ -30,9 +28,9 @@ GOLDEN = Fraction(6180339887498949, 10 ** 16)  # approximately (sqrt(5)-1)/2
 
 
 def test_u_examples(desk_table):
-    assert u_ratio(desk_table, 2).exact == 1
-    assert u_ratio(desk_table, 3).exact == Fraction(7, 8)
-    assert u_ratio(desk_table, 4).exact == Fraction(48, 49)
+    assert u_ratio(desk_table, 2) == 1
+    assert u_ratio(desk_table, 3) == Fraction(7, 8)
+    assert u_ratio(desk_table, 4) == Fraction(48, 49)
 
 
 def test_u_range_check(desk_table):
@@ -44,21 +42,10 @@ def test_u_range_check(desk_table):
 
 def test_u_invariants(desk_table):
     for n in range(1, 2001):
-        u = u_ratio(desk_table, n).exact
+        u = u_ratio(desk_table, n)
         assert u > 0
         if n >= 3:
             assert u < 1, n
-
-
-# -- mu grid ------------------------------------------------------------------------
-
-
-def test_four_point_grid_separated():
-    grid = FourPointGrid.at(10, 128)
-    assert grid.x.hi < grid.y.lo < grid.y.hi < grid.z.lo
-    assert grid.z.hi < grid.w.lo
-    with pytest.raises(ValueError):
-        FourPointGrid.at(1)
 
 
 # -- envelope -----------------------------------------------------------------------
@@ -66,7 +53,7 @@ def test_four_point_grid_separated():
 
 def test_envelope_brackets_ratio_at_55_and_100(desk_table):
     for n in (55, 100):
-        u = u_ratio(desk_table, n).exact
+        u = u_ratio(desk_table, n)
         low = ratio_lower_bound(n, 128)
         high = ratio_upper_bound(n, 128)
         assert low.hi_fraction() < u, n
@@ -75,8 +62,8 @@ def test_envelope_brackets_ratio_at_55_and_100(desk_table):
 
 def test_envelope_margins_shrink(desk_table):
     def margins(n):
-        u = u_ratio(desk_table, n).exact
-        low, high = ratio_bounds_pair(n, 128)
+        u = u_ratio(desk_table, n)
+        low, high = ratio_lower_bound(n, 128), ratio_upper_bound(n, 128)
         return u - low.hi_fraction(), high.lo_fraction() - u
 
     m100 = margins(100)
@@ -89,7 +76,7 @@ def test_envelope_margins_shrink(desk_table):
 
 def test_envelope_lower_below_upper_sampled():
     for n in list(range(2, 60)) + [100, 500, 1000, 2500, 5614]:
-        low, high = ratio_bounds_pair(n, 128)
+        low, high = ratio_lower_bound(n, 128), ratio_upper_bound(n, 128)
         assert low.hi < high.lo, n
 
 
@@ -287,8 +274,8 @@ def test_discriminant_is_27_times_third_order_expression(desk_table):
 def test_third_order_expression_matches_rational_form(desk_table):
     # Clearing denominators must agree with the direct rational expression.
     for n in (3, 4, 10, 57):
-        u_n = u_ratio(desk_table, n).exact
-        u_next = u_ratio(desk_table, n + 1).exact
+        u_n = u_ratio(desk_table, n)
+        u_next = u_ratio(desk_table, n + 1)
         rational = 4 * (1 - u_n) * (1 - u_next) - (1 - u_n * u_next) ** 2
         cleared = Fraction(higher_turan_integer(desk_table, n),
                            desk_table[n] ** 2 * desk_table[n + 1] ** 2)

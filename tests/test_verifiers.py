@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from overpart import (
     pair_threshold_gap,
     run_campaign,
 )
-from overpart.verifiers import CHECK_NAMES, table_requirement
+from overpart.verifiers import CHECK_NAMES, CHECKS, run_check, table_requirement
 
 
 def verdict_of(result, subject):
@@ -216,18 +217,6 @@ def test_run_campaign_empty(desk_table):
     assert run_campaign(desk_table, []) == []
 
 
-def test_run_campaign_worker_independence(desk_table):
-    specs = [
-        CheckSpec("log-concavity", 2, 700, "exact"),
-        CheckSpec("higher-turan", 2, 700, "exact"),
-        CheckSpec("fg-sandwich", 55, 400, "interval"),
-    ]
-    serial = run_campaign(desk_table, specs, workers=1)
-    parallel = run_campaign(desk_table, specs, workers=8)
-    for left, right in zip(serial, parallel):
-        assert left.items == right.items
-
-
 def test_run_campaign_unknown_check(desk_table):
     with pytest.raises(ValueError):
         run_campaign(desk_table, [CheckSpec("no-such-check", 1, 2)])
@@ -237,7 +226,12 @@ def test_check_spec_validation():
     with pytest.raises(ValueError):
         CheckSpec("log-concavity", 5, 2)
     with pytest.raises(ValueError):
-        CheckSpec("log-concavity", 2, 5, "fuzzy")
+        CheckSpec("fuzzy", 2, 5)
+    for bits in (1, 0, 128.0):
+        with pytest.raises(ValueError):
+            CheckSpec("log-concavity", 2, 5, precision_bits=bits)
+    with pytest.raises(ValueError):  # the removed positional mode argument
+        CheckSpec("log-concavity", 2, 5, "exact")
 
 
 def test_table_requirements():
@@ -248,6 +242,46 @@ def test_table_requirements():
     assert table_requirement(CheckSpec("g-vs-f-shift", 2, 100)) == 0
     for name in CHECK_NAMES:
         table_requirement(CheckSpec(name, 2, 10))
+
+
+def _small_spec(name):
+    if name == "multiplicative":
+        return CheckSpec(name, 2, 12, params={"a_max": 5})
+    return CheckSpec(name, 60, 70)
+
+
+def test_registry_table_requirement_is_exact(desk_table, monkeypatch):
+    # The range check and the sweep read the same registry entry: a table that
+    # stops at table_requirement(spec) suffices, one index less is refused
+    # before any subject is evaluated.
+    for name in CHECK_NAMES:
+        spec = _small_spec(name)
+        needed = table_requirement(spec)
+        if name == "g-vs-f-shift":
+            assert needed == 0
+            assert run_check(None, spec).ok
+            continue
+        calls = []
+
+        def counting(table, subject, check=CHECKS[name]):
+            calls.append(subject)
+            return check.evaluate(table, subject)
+
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], evaluate=counting))
+        result = run_check(OverpartitionTable(desk_table.values[:needed + 1]), spec)
+        assert len(calls) == len(result.items) > 0 and result.spec == spec
+        assert all((item.precision_bits == 0) == CHECKS[name].exact for item in result.items)
+        calls.clear()
+        with pytest.raises(IndexError):
+            run_check(OverpartitionTable(desk_table.values[:needed]), spec)
+        assert calls == [], name
+
+
+def test_registry_lowest_n():
+    for name, check in CHECKS.items():
+        spec = dataclasses.replace(_small_spec(name), from_n=check.min_n - 1)
+        with pytest.raises(IndexError):
+            table_requirement(spec)
 
 
 def test_exact_checks_never_undecided(desk_table):
