@@ -4,15 +4,21 @@ An overpartition of n is a partition of n in which the first occurrence of
 each distinct part may additionally be overlined; ``pbar(n)`` counts them
 (1, 2, 4, 8, 14, 24, ... from n = 0).  The generating function is
 
-    sum pbar(n) q^n  =  prod (1 + q^k)/(1 - q^k)  =  prod (1 - q^{2k})/(1 - q^k)^2,
+    sum pbar(n) q^n  =  prod (1 + q^k)/(1 - q^k),
 
-and the eta-quotient form on the right is what the builder exploits: writing
-E(q) = prod (1 - q^k), the series D(q) = E(q^2) is sparse (coefficients +-1 at
-twice the generalized pentagonal numbers), Q(q) = D(q)/E(q) is the
-distinct-parts partition series, and pbar(q) = Q(q)/E(q).  Both divisions by
-E(q) are sparse pentagonal-number convolutions (O(sqrt n) terms each), so the
-whole table costs O(n^{3/2}) big-integer additions instead of the O(n^2) of a
-direct convolution.
+and by Gauss's identity its reciprocal is the theta series
+
+    prod (1 - q^k)/(1 + q^k)  =  sum_{m in Z} (-1)^m q^{m^2}
+                              =  1 + 2 sum_{k >= 1} (-1)^k q^{k^2}.
+
+Multiplying the two series and reading off the coefficient of q^n (n >= 1)
+gives the recurrence the builder runs:
+
+    pbar(n)  =  2 sum_{k >= 1, k^2 <= n} (-1)^{k+1} pbar(n - k^2).
+
+Each index sums about sqrt(n) earlier values, so the whole table costs
+O(n^{3/2}) big-integer additions instead of the O(n^2) of a direct
+convolution, in one pass with no intermediate series.
 
 A deliberately naive enumeration oracle is included for test-time
 cross-checking only; it walks every partition and weights it by 2^(number of
@@ -22,10 +28,11 @@ distinct parts).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 ENUMERATION_LIMIT = 60
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes
@@ -75,31 +82,12 @@ class OverpartitionTable:
         return f"OverpartitionTable(max_n={self.max_n})"
 
 
-def _pentagonal_pairs(limit: int) -> List[Tuple[int, int]]:
-    """Generalized pentagonal numbers m(3m -+ 1)/2 <= limit with the sign
-    (-1)^m they carry in prod (1 - q^k), sorted ascending."""
-    out = []
-    m = 1
-    while True:
-        g_minus = m * (3 * m - 1) // 2
-        g_plus = m * (3 * m + 1) // 2
-        if g_minus > limit:
-            break
-        sign = -1 if m % 2 else 1
-        out.append((g_minus, sign))
-        if g_plus <= limit:
-            out.append((g_plus, sign))
-        m += 1
-    out.sort()
-    return out
-
-
 def estimated_table_bytes(max_n: int) -> int:
     """Coarse upper estimate of the memory a table build needs.
 
     pbar(n) has about pi*sqrt(n)/ln(10) digits, so the digit total grows like
-    0.91 * max_n^{3/2}; two working arrays plus per-int overhead are folded
-    into the constants.
+    0.91 * max_n^{3/2}; the one working array plus per-int overhead are
+    folded into the constants.
     """
     isq = max(max_n, 1)
     digit_total = (91 * isq * math.isqrt(isq)) // 100 + isq
@@ -107,7 +95,8 @@ def estimated_table_bytes(max_n: int) -> int:
 
 
 def build_table(max_n: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> OverpartitionTable:
-    """Exact pbar(0..max_n) via the two pentagonal convolutions.
+    """Exact pbar(0..max_n) via the theta-series recurrence of the module
+    docstring: odd k add pbar(n - k^2), even k subtract it.
 
     Deterministic; raises :class:`MemoryBudgetError` before allocating when the
     estimate exceeds ``memory_budget``.
@@ -119,34 +108,21 @@ def build_table(max_n: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Ov
             f"table to {max_n} needs about {estimated_table_bytes(max_n)} bytes, "
             f"budget is {memory_budget}")
 
-    pent = _pentagonal_pairs(max_n)
-    # Coefficients of D(q) = prod (1 - q^{2k}): +-1 at twice a pentagonal number.
-    sparse = {0: 1}
-    for g, sign in _pentagonal_pairs(max_n // 2 + 1):
-        if 2 * g <= max_n:
-            sparse[2 * g] = sign
-
-    # First convolution: Q(q) * E(q) = D(q) gives distinct-part counts.
-    distinct = [0] * (max_n + 1)
-    distinct[0] = 1
+    root = math.isqrt(max_n)
+    odd_squares = [k * k for k in range(1, root + 1, 2)]
+    even_squares = [k * k for k in range(2, root + 1, 2)]
+    values = [1] + [0] * max_n
     for n in range(1, max_n + 1):
-        acc = sparse.get(n, 0)
-        for g, sign in pent:
-            if g > n:
+        acc = 0
+        for sq in odd_squares:
+            if sq > n:
                 break
-            acc -= sign * distinct[n - g]
-        distinct[n] = acc
-
-    # Second convolution: pbar(q) * E(q) = Q(q).
-    values = [0] * (max_n + 1)
-    values[0] = 1
-    for n in range(1, max_n + 1):
-        acc = distinct[n]
-        for g, sign in pent:
-            if g > n:
+            acc += values[n - sq]
+        for sq in even_squares:
+            if sq > n:
                 break
-            acc -= sign * values[n - g]
-        values[n] = acc
+            acc -= values[n - sq]
+        values[n] = 2 * acc
 
     _validate_values(values)
     return OverpartitionTable(values)
@@ -167,13 +143,15 @@ def _validate_values(values: Sequence[int]) -> None:
 
 def enumerate_overpartitions(n: int) -> int:
     """Brute-force overpartition count: every partition of n weighted by
-    2^(distinct parts).  Guarded to n <= 60; meant for tests only."""
+    2^(distinct parts), memoized per call on (remaining, max_part).  Guarded
+    to n <= 60; meant for tests only."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration oracle is exponential and capped at n = {ENUMERATION_LIMIT}")
 
+    @functools.lru_cache(maxsize=None)
     def count(remaining: int, max_part: int) -> int:
         if remaining == 0:
             return 1

@@ -38,7 +38,7 @@ T = TypeVar("T")
 @lru_cache(maxsize=None)
 def context(bits: int) -> MPIntervalContext:
     """Interval context at a fixed mantissa size.  Cached; never mutated after
-    creation, so sharing across threads is safe."""
+    creation."""
     if bits < 2:
         raise ValueError(f"precision must be at least 2 bits, got {bits}")
     ctx = MPIntervalContext()

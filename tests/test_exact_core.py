@@ -1,6 +1,10 @@
 import hashlib
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overpart import (
     MemoryBudgetError,
@@ -11,9 +15,41 @@ from overpart import (
     load_table,
     save_table,
 )
+from overpart.exact_core import ENUMERATION_LIMIT
 
 # Counts of overpartitions of 0..8, frozen from the enumeration oracle.
 ORACLE_SMALL = [1, 2, 4, 8, 14, 24, 40, 64, 100]
+
+
+def _pentagonal_table(max_n):
+    """Second oracle, independent of the theta recurrence: with
+    E(q) = prod (1 - q^k), sum pbar(n) q^n = E(q^2) / E(q)^2.  E(q^2) is sparse
+    (+-1 at twice the generalized pentagonal numbers), and each division by
+    E(q) is a convolution with Euler's pentagonal-number series."""
+    pent = []  # (m(3m -+ 1)/2, (-1)^m) for every such number <= max_n
+    m = 1
+    while m * (3 * m - 1) // 2 <= max_n:
+        for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if g <= max_n:
+                pent.append((g, -1 if m % 2 else 1))
+        m += 1
+    pent.sort()
+    series = [0] * (max_n + 1)
+    series[0] = 1
+    for g, sign in pent:
+        if 2 * g <= max_n:
+            series[2 * g] = sign
+    for _ in range(2):  # distinct-parts series first, then pbar
+        quotient = [0] * (max_n + 1)
+        for n in range(max_n + 1):
+            acc = series[n]
+            for g, sign in pent:
+                if g > n:
+                    break
+                acc -= sign * quotient[n - g]
+            quotient[n] = acc
+        series = quotient
+    return series
 
 
 def test_enumeration_oracle_base_cases():
@@ -42,10 +78,14 @@ def test_log_concavity_equality_at_two():
     assert t[2] ** 2 - t[1] * t[3] == 0
 
 
-def test_table_matches_oracle_to_25():
-    t = build_table(25)
-    for n in range(26):
+def test_table_matches_oracle_to_enumeration_limit():
+    t = build_table(ENUMERATION_LIMIT)
+    for n in range(ENUMERATION_LIMIT + 1):
         assert t[n] == enumerate_overpartitions(n)
+
+
+def test_table_matches_pentagonal_oracle():
+    assert build_table(3000).values == tuple(_pentagonal_table(3000))
 
 
 def test_parity_and_monotonicity(desk_table):
@@ -85,6 +125,51 @@ def test_load_truncated_file(tmp_path):
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(TableFormatError):
         load_table(path)
+
+
+def _saved_bytes(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tbl")
+        save_table(table, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+TABLE30 = build_table(30)
+TABLE30_BYTES = _saved_bytes(TABLE30)
+
+
+def _load_bytes(data, tmp_path_factory):
+    """load_table on ``data``: None if it raises TableFormatError, else the
+    table.  Any other exception propagates and fails the caller."""
+    path = tmp_path_factory.getbasetemp() / "mutated.tbl"
+    path.write_bytes(data)
+    try:
+        return load_table(path)
+    except TableFormatError:
+        return None
+
+
+# A single-byte change is either rejected or harmless; "harmless" happens only
+# when whitespace replaces the final newline, which the digest's strip() eats.
+@settings(max_examples=500)
+@given(position=st.integers(0, len(TABLE30_BYTES) - 1), delta=st.integers(1, 255))
+@example(position=len(TABLE30_BYTES) - 1, delta=ord(" ") - ord("\n"))
+def test_single_byte_change_never_loads_another_table(position, delta, tmp_path_factory):
+    data = bytearray(TABLE30_BYTES)
+    data[position] = (data[position] + delta) % 256
+    loaded = _load_bytes(bytes(data), tmp_path_factory)
+    assert loaded is None or loaded == TABLE30
+
+
+def test_proper_prefix_never_loads_another_table(tmp_path_factory):
+    # Every prefix, not a sample: the file is small enough.
+    loaded = [
+        cut for cut in range(len(TABLE30_BYTES))
+        if _load_bytes(TABLE30_BYTES[:cut], tmp_path_factory) is not None]
+    # Only dropping the final newline still loads, and then the same table.
+    assert loaded == [len(TABLE30_BYTES) - 1]
+    assert _load_bytes(TABLE30_BYTES[:-1], tmp_path_factory) == TABLE30
 
 
 def _failing_open(real_open):

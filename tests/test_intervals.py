@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from overpart import CertifiedInterval, certify_sign
@@ -155,6 +157,29 @@ def test_directed_decimal_directedness():
         up = iv.directed_decimal(fr, 6, round_up=True)
         assert _parse_sci(down) <= fr <= _parse_sci(up)
     assert iv.directed_decimal(Fraction(0)) == "0"
+
+
+# Nonzero rationals over a wide range of magnitudes (zero renders as "0").
+_nonzero_fractions = st.builds(
+    lambda num, den, exp: Fraction(num, den) * Fraction(10) ** exp,
+    st.integers(1, 10 ** 40) | st.integers(-10 ** 40, -1),
+    st.integers(1, 10 ** 40),
+    st.integers(-60, 60))
+
+
+@given(value=_nonzero_fractions, sig=st.integers(1, 12), round_up=st.booleans())
+@example(value=Fraction(99999995, 10 ** 7), sig=7, round_up=True)  # carries to 1.000000e+1
+@example(value=Fraction(-99999995, 10 ** 7), sig=7, round_up=False)
+@example(value=Fraction(1), sig=1, round_up=False)
+def test_directed_decimal_property(value, sig, round_up):
+    rendered = iv.directed_decimal(value, sig, round_up=round_up)
+    printed = Fraction(rendered)
+    assert printed >= value if round_up else printed <= value
+    mantissa, _, exponent = rendered.lstrip("-").partition("e")
+    digits = mantissa.replace(".", "")
+    assert len(digits) == sig and digits[0] != "0"
+    # Within one unit in the last printed place, so directed never means loose.
+    assert abs(printed - value) < Fraction(10) ** (int(exponent) - sig + 1)
 
 
 def test_directed_decimal_tiny_margin_keeps_sign():
