@@ -14,9 +14,9 @@ sum  s(h,k) = sum_{r=1}^{k-1} (r/k) (hr/k - floor(hr/k) - 1/2).
 Everything inexact is interval-valued (:mod:`overpart.intervals`); everything
 that can be exact stays exact: the multiplier exponents are rationals mod 2,
 combined term by term, and only one interval cosine per distinct exponent is
-ever evaluated.  Conjugate residues h and k-h carry opposite exponents, so the
-pairing makes each A_k(n) exactly real by construction; the truncation asserts
-this rather than assuming it.
+ever evaluated.  Conjugate residues h and k-h carry opposite exponents, so each
+A_k(n) is real; the truncation checks exactly, on the exponent multiset, that
+every exponent is matched by its negative, rather than assuming it.
 
 Truncating the series at odd cutoff N leaves an error R(n, N) with the
 explicit bound |R| <= N^{5/2}/(n mu) * sinh(mu/N), and a slightly tightened
@@ -43,13 +43,13 @@ from .intervals import (
     context,
     cos_half_turns_raw,
     cosh_raw,
-    sin_half_turns_raw,
     sinh_raw,
 )
 
 
 class UndecidedRealError(Exception):
-    """The truncated series' imaginary enclosure failed its realness gate."""
+    """A multiplier sum's exponent multiset is not conjugate-symmetric, so the
+    sum is not certified real (checked exactly, before any interval work)."""
 
 
 # -- multiplier roots of unity ---------------------------------------------------
@@ -92,10 +92,6 @@ class RootOfUnity:
         ctx = context(bits)
         return CertifiedInterval.from_ival(cos_half_turns_raw(ctx, self.exponent), bits)
 
-    def imag(self, bits: int = DEFAULT_BITS) -> CertifiedInterval:
-        ctx = context(bits)
-        return CertifiedInterval.from_ival(sin_half_turns_raw(ctx, self.exponent), bits)
-
 
 def sawtooth_exponent(h: int, k: int) -> Fraction:
     """The exact rational sum s(h,k) defining the multiplier's exponent.
@@ -134,17 +130,18 @@ def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    return CertifiedInterval.from_ival(_mu_raw(ctx, n), precision_bits)
+    return CertifiedInterval.from_ival(mu_raw(ctx, n), precision_bits)
 
 
-def _mu_raw(ctx, n: int):
+def mu_raw(ctx, n: int):
+    """pi sqrt(n) on the raw context."""
     return ctx.pi * ctx.sqrt(ctx.mpf(n))
 
 
 def _term_derivative_raw(ctx, n: int, k: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
     #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k)
-    mu_over_k = _mu_raw(ctx, n) / k
+    mu_over_k = mu_raw(ctx, n) / k
     sqrt_n = ctx.sqrt(ctx.mpf(n))
     return (ctx.pi / (2 * k * n)) * cosh_raw(ctx, mu_over_k) \
         - sinh_raw(ctx, mu_over_k) / (2 * n * sqrt_n)
@@ -192,57 +189,40 @@ def _multiplier_exponents(n: int, k: int) -> Dict[Fraction, int]:
 
 
 def _multiplier_sum_raw(ctx, n: int, k: int):
-    """A_k(n) as (real, imag) raw intervals.
+    """A_k(n), which is real, as a raw interval.
 
-    Exponents are paired with their negatives mod 2 before any interval work:
-    a pair with equal multiplicities contributes (c1 + c2) cos(pi e) to the
-    real part and exactly nothing to the imaginary part, so for the odd-k sums
-    the imaginary enclosure is the exact zero interval.
+    Raises :class:`UndecidedRealError` unless every exponent e occurs as often
+    as -e mod 2, checked exactly before any interval work.  Each pair then
+    contributes 2 c cos(pi e), taken at its exponent in [0, 1], and e = 0 or 1
+    (its own negative) contributes c cos(pi e).
     """
     counts = _multiplier_exponents(n, k)
+    if any(counts.get(-turns % 2) != c for turns, c in counts.items()):
+        raise UndecidedRealError(f"exponents of A_{k}({n}) are not paired with their negatives")
     real = ctx.mpf(0)
-    imag = ctx.mpf(0)
-    seen = set()
     for turns in sorted(counts):
-        if turns in seen:
-            continue
-        seen.add(turns)
-        mirror = (-turns) % 2
-        if mirror == turns:
-            real += counts[turns] * cos_half_turns_raw(ctx, turns)
-            continue
-        seen.add(mirror)
-        paired = counts[turns] + counts.get(mirror, 0)
-        real += paired * cos_half_turns_raw(ctx, turns)
-        residue = counts[turns] - counts.get(mirror, 0)
-        if residue:
-            imag += residue * sin_half_turns_raw(ctx, turns)
-    return real, imag
+        mirror = -turns % 2
+        if turns <= mirror:
+            weight = counts[turns] if turns == mirror else 2 * counts[turns]
+            real += weight * cos_half_turns_raw(ctx, turns)
+    return real
 
 
 def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
     """Sum of the series over odd k <= N, as a certified interval.
 
-    The result is guaranteed real: the imaginary enclosure must contain zero
-    with width below 2^{-precision_bits/2}, else :class:`UndecidedRealError`
-    is raised rather than silently discarding it.
+    The result is real: each multiplier sum's exponent multiset is checked
+    exactly to be conjugate-symmetric, else :class:`UndecidedRealError` is
+    raised rather than an imaginary part silently discarded.
     """
     bits = params.precision_bits
     ctx = context(bits)
     total = ctx.mpf(0)
-    imag_total = ctx.mpf(0)
     for k in range(1, params.N + 1, 2):
-        real, imag = _multiplier_sum_raw(ctx, params.n, k)
+        real = _multiplier_sum_raw(ctx, params.n, k)
         deriv = _term_derivative_raw(ctx, params.n, k)
         scale = ctx.sqrt(ctx.mpf(k)) / (2 * ctx.pi)
         total += scale * real * deriv
-        imag_total += scale * imag * deriv
-
-    imag_ci = CertifiedInterval.from_ival(imag_total, bits)
-    threshold = Fraction(1, 2 ** (bits // 2))
-    if not imag_ci.contains_zero() or imag_ci.width_fraction() >= threshold:
-        raise UndecidedRealError(
-            f"imaginary part {imag_ci!r} not certifiably zero at {bits} bits")
     return CertifiedInterval.from_ival(total, bits)
 
 
@@ -253,7 +233,7 @@ def main_term(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
+    m = mu_raw(ctx, n)
     e = ctx.exp(m)
     value = ((1 + 1 / m) / e + (1 - 1 / m) * e) / (8 * n)
     return CertifiedInterval.from_ival(value, precision_bits)
@@ -275,7 +255,7 @@ def truncation_error_bound(
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
     ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
+    m = mu_raw(ctx, n)
     arg = m / N
     body = sinh_raw(ctx, arg)
     if tightened:
@@ -296,7 +276,7 @@ def coarse_exp_form(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certifi
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
+    m = mu_raw(ctx, n)
     alpha = (1 - 1 / m) / (8 * n)
     bound = 5 * ctx.exp(m / 3) / (2 * n * ctx.sqrt(ctx.mpf(n)))
     bits = precision_bits
@@ -310,7 +290,7 @@ def simple_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certified
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
+    m = mu_raw(ctx, n)
     e_over_8n = ctx.exp(m) / (8 * n)
     lower = (1 - 2 / m) * e_over_8n
     upper = e_over_8n * (ctx.mpf(n + 1) / n)
@@ -325,7 +305,7 @@ def refined_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certifie
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
+    m = mu_raw(ctx, n)
     e_over_8n = ctx.exp(m) / (8 * n)
     core = 1 - 1 / m
     window = 1 / m ** 5

@@ -39,7 +39,7 @@ DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes
 
 
 class MemoryBudgetError(Exception):
-    """Requested table would exceed the configured memory budget."""
+    """Requested table would exceed ``DEFAULT_MEMORY_BUDGET``."""
 
 
 class TableFormatError(Exception):
@@ -94,19 +94,19 @@ def estimated_table_bytes(max_n: int) -> int:
     return digit_total + 120 * (max_n + 1)
 
 
-def build_table(max_n: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> OverpartitionTable:
+def build_table(max_n: int) -> OverpartitionTable:
     """Exact pbar(0..max_n) via the theta-series recurrence of the module
     docstring: odd k add pbar(n - k^2), even k subtract it.
 
     Deterministic; raises :class:`MemoryBudgetError` before allocating when the
-    estimate exceeds ``memory_budget``.
+    estimate exceeds ``DEFAULT_MEMORY_BUDGET``.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    if estimated_table_bytes(max_n) > memory_budget:
+    if estimated_table_bytes(max_n) > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(
             f"table to {max_n} needs about {estimated_table_bytes(max_n)} bytes, "
-            f"budget is {memory_budget}")
+            f"budget is {DEFAULT_MEMORY_BUDGET}")
 
     root = math.isqrt(max_n)
     odd_squares = [k * k for k in range(1, root + 1, 2)]

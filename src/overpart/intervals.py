@@ -46,6 +46,13 @@ def context(bits: int) -> MPIntervalContext:
     return ctx
 
 
+def rational_raw(ctx, value: Rational):
+    """An exact integer or rational as a raw interval of ``ctx`` (a point
+    when it is representable, else rounded outward)."""
+    value = Fraction(value)
+    return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+
+
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of a finite mpf (binary floats are dyadic)."""
     sign, man, exp, _ = x._mpf_
@@ -94,9 +101,7 @@ class CertifiedInterval:
 
     @classmethod
     def from_fraction(cls, value: Rational, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
-        value = Fraction(value)
-        ctx = context(bits)
-        return cls.from_ival(ctx.mpf(value.numerator) / ctx.mpf(value.denominator), bits)
+        return cls.from_ival(rational_raw(context(bits), value), bits)
 
     @classmethod
     def from_pair(cls, lo: Rational, hi: Rational, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
@@ -161,10 +166,8 @@ class CertifiedInterval:
     def _coerce(self, other: Operand, ctx):
         if isinstance(other, CertifiedInterval):
             return other.ival(ctx)
-        if isinstance(other, int):
-            return ctx.mpf(other)
-        if isinstance(other, Fraction):
-            return ctx.mpf(other.numerator) / ctx.mpf(other.denominator)
+        if isinstance(other, (int, Fraction)):
+            return rational_raw(ctx, other)
         return NotImplemented
 
     def _binary(self, other: Operand, op: str, reflected: bool = False):
@@ -264,15 +267,6 @@ def cos_half_turns_raw(ctx, turns: Fraction):
     if turns.denominator == 2:  # turns in {1/2, 3/2}
         return ctx.mpf(0)
     return ctx.cos(ctx.pi * turns.numerator / turns.denominator)
-
-
-def sin_half_turns_raw(ctx, turns: Fraction):
-    turns = turns % 2
-    if turns in (0, 1):
-        return ctx.mpf(0)
-    if turns.denominator == 2:
-        return ctx.mpf(1 if turns == Fraction(1, 2) else -1)
-    return ctx.sin(ctx.pi * turns.numerator / turns.denominator)
 
 
 # -- adaptive sign resolution -------------------------------------------------

@@ -10,8 +10,7 @@ the envelope is
     lower(n) = e^{x-2y+z} y^14 (x^5-x^4-1)(z^5-z^4-1) / ( x^7 z^7 (y^5-y^4+1)^2 ),
     upper(n) = e^{x-2y+z} y^14 (x^5-x^4+1)(z^5-z^4+1) / ( x^7 z^7 (y^5-y^4-1)^2 ),
 
-which brackets u_n from n = 55 on (certified over finite ranges by the
-verifier suite).  The quadratic
+which brackets u_n from n = 55 on.  The quadratic
 
     F(t) = 4 (1 - u)(1 - t) - (1 - u t)^2     (0 < u < 1)
 
@@ -19,6 +18,12 @@ has the two roots P(u) <= Q(u) written with sqrt((1-u)^3); Q drives the
 third-order comparisons, and psi(t) = Q(t) - t is its gap to the diagonal.
 Degree-6 and degree-7 Taylor polynomials of e^t bound the exponential from
 above and below on t < 0 (alternating-series remainders).
+
+Each of these interval formulas is written once, here.  With the window
+1000/mu(n-1)^5 the gap kernels are u_n - lower(n) and upper(n) - u_n
+(fg_sandwich_gaps_raw), lower(n) + window - upper(n+1) (g_vs_f_shift_gaps_raw)
+and Q(u_n) - lower(n) - window (f_vs_q_gaps_raw); the verifiers certify their
+signs over finite ranges instead of assuming them.
 
 The cubic with coefficients binom(3,j) pbar(n+j) is hyperbolic (all roots
 real) exactly when its discriminant is nonnegative; the discriminant is an
@@ -33,8 +38,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exact_core import OverpartitionTable
-from .intervals import DEFAULT_BITS, CertifiedInterval, context
-from .asymptotics import _mu_raw
+from .intervals import DEFAULT_BITS, CertifiedInterval, context, rational_raw
+from .asymptotics import mu_raw
 
 
 class DomainError(ValueError):
@@ -51,7 +56,7 @@ def u_ratio(table: OverpartitionTable, n: int) -> Fraction:
     return Fraction(table[n - 1] * table[n + 1], table[n] ** 2)
 
 
-# -- the envelope ---------------------------------------------------------------
+# -- the envelope, the window, Q and P, and the gap kernels ------------------------
 
 
 def _envelope_raw(ctx, x, y, z, signed: int):
@@ -63,49 +68,70 @@ def _envelope_raw(ctx, x, y, z, signed: int):
     return e * num / den
 
 
-def _bounds_pair_raw(ctx, n: int):
-    x = _mu_raw(ctx, n - 1)
-    y = _mu_raw(ctx, n)
-    z = _mu_raw(ctx, n + 1)
-    return _envelope_raw(ctx, x, y, z, -1), _envelope_raw(ctx, x, y, z, +1)
+def _window_raw(x):
+    """The window 1000/x^5 at x = mu(n-1)."""
+    return 1000 / x ** 5
+
+
+def _q_raw(ctx, t, sign: int):
+    """Q(t) for sign = +1, P(t) for sign = -1: (3t +- 2 sqrt((1-t)^3) - 2) / t^2."""
+    return (3 * t + sign * 2 * ctx.sqrt((1 - t) ** 3) - 2) / t ** 2
+
+
+def fg_sandwich_gaps_raw(ctx, n: int, u: Fraction):
+    """[u_n - lower(n), upper(n) - u_n] for the exact ratio u = u_n."""
+    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
+    ui = rational_raw(ctx, u)
+    return [ui - _envelope_raw(ctx, x, y, z, -1), _envelope_raw(ctx, x, y, z, +1) - ui]
+
+
+def g_vs_f_shift_gaps_raw(ctx, n: int):
+    """[lower(n) + window - upper(n+1)]."""
+    x, y, z, w = (mu_raw(ctx, m) for m in range(n - 1, n + 3))
+    return [_envelope_raw(ctx, x, y, z, -1) + _window_raw(x) - _envelope_raw(ctx, y, z, w, +1)]
+
+
+def f_vs_q_gaps_raw(ctx, n: int, u: Fraction):
+    """[Q(u_n) - lower(n) - window] for the exact ratio u = u_n."""
+    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
+    q = _q_raw(ctx, rational_raw(ctx, u), +1)
+    return [q - _envelope_raw(ctx, x, y, z, -1) - _window_raw(x)]
+
+
+def _envelope_at(n: int, precision_bits: int, signed: int) -> CertifiedInterval:
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    ctx = context(precision_bits)
+    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
+    return CertifiedInterval.from_ival(_envelope_raw(ctx, x, y, z, signed), precision_bits)
 
 
 def ratio_lower_bound(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     """The envelope's lower member at n (below u_n for n >= 55)."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    ctx = context(precision_bits)
-    lower, _ = _bounds_pair_raw(ctx, n)
-    return CertifiedInterval.from_ival(lower, precision_bits)
+    return _envelope_at(n, precision_bits, -1)
 
 
 def ratio_upper_bound(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     """The envelope's upper member at n (above u_n for n >= 55)."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    ctx = context(precision_bits)
-    _, upper = _bounds_pair_raw(ctx, n)
-    return CertifiedInterval.from_ival(upper, precision_bits)
+    return _envelope_at(n, precision_bits, +1)
 
 
-# -- the quadratic's upper root and its diagonal gap ------------------------------
+# -- the quadratic's roots and the diagonal gap ------------------------------------
 
 
-def _require_unit_interval(t: CertifiedInterval) -> None:
+def _q_at(t: CertifiedInterval, minus_t: bool) -> CertifiedInterval:
     if not (t.lo > 0 and t.hi < 1):
         raise DomainError(f"argument must lie strictly inside (0, 1), got {t!r}")
-
-
-def _q_raw(ctx, t):
-    return (3 * t + 2 * ctx.sqrt((1 - t) ** 3) - 2) / t ** 2
+    ctx = context(t.precision_bits)
+    ti = t.ival(ctx)
+    q = _q_raw(ctx, ti, +1)
+    return CertifiedInterval.from_ival(q - ti if minus_t else q, t.precision_bits)
 
 
 def quadratic_upper_root(t: CertifiedInterval) -> CertifiedInterval:
     """Q(t) = (3t + 2 sqrt((1-t)^3) - 2) / t^2 on 0 < t < 1; increasing, with
     limit 1 at t -> 1."""
-    _require_unit_interval(t)
-    ctx = context(t.precision_bits)
-    return CertifiedInterval.from_ival(_q_raw(ctx, t.ival(ctx)), t.precision_bits)
+    return _q_at(t, minus_t=False)
 
 
 def quadratic_upper_root_exact(t: Fraction) -> Optional[Fraction]:
@@ -122,10 +148,7 @@ def quadratic_upper_root_exact(t: Fraction) -> Optional[Fraction]:
 
 def diagonal_gap(t: CertifiedInterval) -> CertifiedInterval:
     """psi(t) = Q(t) - t; decreasing on (0, 1)."""
-    _require_unit_interval(t)
-    ctx = context(t.precision_bits)
-    ti = t.ival(ctx)
-    return CertifiedInterval.from_ival(_q_raw(ctx, ti) - ti, t.precision_bits)
+    return _q_at(t, minus_t=True)
 
 
 def turan_quadratic_roots(
@@ -145,11 +168,9 @@ def turan_quadratic_roots(
     if not 0 < value < 1:
         raise DomainError(f"u must lie in (0, 1), got {value}")
     ctx = context(precision_bits)
-    ui = ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
-    radical = 2 * ctx.sqrt((1 - ui) ** 3)
-    base = 3 * ui - 2
-    lower = CertifiedInterval.from_ival((base - radical) / ui ** 2, precision_bits)
-    upper = CertifiedInterval.from_ival((base + radical) / ui ** 2, precision_bits)
+    ui = rational_raw(ctx, value)
+    lower, upper = (CertifiedInterval.from_ival(_q_raw(ctx, ui, sign), precision_bits)
+                    for sign in (-1, +1))
     if not lower.hi < upper.lo:
         raise DomainError(f"roots not separated at {precision_bits} bits")
     return lower, upper
@@ -170,32 +191,25 @@ LOWER_TAYLOR_COEFFS: Tuple[Fraction, ...] = tuple(
     Fraction(1, math.factorial(j)) for j in range(8))
 
 
-def _require_negative(t: CertifiedInterval) -> None:
+def _trunc_exp(t: CertifiedInterval, coeffs: Tuple[Fraction, ...]) -> CertifiedInterval:
     if not t.hi < 0:
         raise DomainError(f"bounding property needs t < 0 throughout, got {t!r}")
-
-
-def _poly_raw(ctx, coeffs, t):
-    acc = ctx.mpf(coeffs[-1].numerator) / coeffs[-1].denominator
+    ctx = context(t.precision_bits)
+    ti = t.ival(ctx)
+    acc = rational_raw(ctx, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * t + ctx.mpf(c.numerator) / c.denominator
-    return acc
+        acc = acc * ti + rational_raw(ctx, c)
+    return CertifiedInterval.from_ival(acc, t.precision_bits)
 
 
 def trunc_exp_upper(t: CertifiedInterval) -> CertifiedInterval:
     """Degree-6 Taylor polynomial of e^t; >= e^t on t < 0."""
-    _require_negative(t)
-    ctx = context(t.precision_bits)
-    return CertifiedInterval.from_ival(
-        _poly_raw(ctx, UPPER_TAYLOR_COEFFS, t.ival(ctx)), t.precision_bits)
+    return _trunc_exp(t, UPPER_TAYLOR_COEFFS)
 
 
 def trunc_exp_lower(t: CertifiedInterval) -> CertifiedInterval:
     """Degree-7 Taylor polynomial of e^t; <= e^t on t < 0."""
-    _require_negative(t)
-    ctx = context(t.precision_bits)
-    return CertifiedInterval.from_ival(
-        _poly_raw(ctx, LOWER_TAYLOR_COEFFS, t.ival(ctx)), t.precision_bits)
+    return _trunc_exp(t, LOWER_TAYLOR_COEFFS)
 
 
 # -- cubic hyperbolicity -----------------------------------------------------------

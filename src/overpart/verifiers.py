@@ -32,12 +32,12 @@ from .intervals import (
     context,
     directed_decimal,
     precision_ladder,
+    rational_raw,
 )
-from .asymptotics import _mu_raw
 from .ratio_bounds import (
-    _bounds_pair_raw,
-    _envelope_raw,
-    _q_raw,
+    f_vs_q_gaps_raw,
+    fg_sandwich_gaps_raw,
+    g_vs_f_shift_gaps_raw,
     higher_turan_integer,
     u_ratio,
 )
@@ -180,14 +180,14 @@ def _strong_top(spec: CheckSpec) -> int:
 
 def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
     a_max = spec.params.get("a_max", spec.to_n)
-    return ((f"a={a},b={b}", (a, b)) for a in range(2, a_max + 1)
+    return ((f"a={a},b={b}", (a, b)) for a in range(spec.from_n, a_max + 1)
             for b in range(a, spec.to_n + 1))
 
 
 def _multiplicative_top(spec: CheckSpec) -> int:
     a_max, b_max = spec.params.get("a_max", spec.to_n), spec.to_n
-    if a_max < 2 or b_max < a_max:
-        raise ValueError(f"need 2 <= a_max <= b_max, got {a_max}, {b_max}")
+    if not spec.from_n <= a_max <= b_max:
+        raise ValueError(f"need from_n <= a_max <= b_max, got {spec.from_n}, {a_max}, {b_max}")
     return a_max + b_max
 
 
@@ -222,35 +222,16 @@ def _delta2_log(table: OverpartitionTable, n: int) -> Callable:
 
 def _fg_sandwich(table: OverpartitionTable, n: int) -> Callable:
     u = u_ratio(table, n)
-
-    def gaps(ctx):
-        lower, upper = _bounds_pair_raw(ctx, n)
-        ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
-        return [ui - lower, upper - ui]
-
-    return gaps
+    return lambda ctx: fg_sandwich_gaps_raw(ctx, n, u)
 
 
 def _g_vs_f_shift(table: Optional[OverpartitionTable], n: int) -> Callable:
-    def gaps(ctx):
-        x, y, z, w = (_mu_raw(ctx, m) for m in range(n - 1, n + 3))
-        lower_n = _envelope_raw(ctx, x, y, z, -1)
-        upper_next = _envelope_raw(ctx, y, z, w, +1)
-        return [lower_n + 1000 / x ** 5 - upper_next]
-
-    return gaps
+    return lambda ctx: g_vs_f_shift_gaps_raw(ctx, n)
 
 
 def _f_vs_q(table: OverpartitionTable, n: int) -> Callable:
     u = u_ratio(table, n)
-
-    def gaps(ctx):
-        x, y, z = (_mu_raw(ctx, m) for m in range(n - 1, n + 2))
-        lower_n = _envelope_raw(ctx, x, y, z, -1)
-        ui = ctx.mpf(u.numerator) / ctx.mpf(u.denominator)
-        return [_q_raw(ctx, ui) - lower_n - 1000 / x ** 5]
-
-    return gaps
+    return lambda ctx: f_vs_q_gaps_raw(ctx, n, u)
 
 
 # -- the registry -------------------------------------------------------------------
@@ -283,12 +264,11 @@ def _next_two(spec: CheckSpec) -> int:
 
 
 # The paper's checks in report order: name, exact, lowest n, table top,
-# subjects, evaluator.  The lower end of a multiplicative spec's range is
-# unused: its pairs always start at a = 2.
+# subjects, evaluator.
 CHECKS: Dict[str, Check] = {check.name: check for check in (
     Check("log-concavity", True, 1, _next, _indices, _log_concavity),
     Check("strong-log-concavity", True, 2, _strong_top, _strong_pairs, _strong_log_concavity),
-    Check("multiplicative", True, 0, _multiplicative_top, _multiplicative_pairs, _multiplicative),
+    Check("multiplicative", True, 2, _multiplicative_top, _multiplicative_pairs, _multiplicative),
     Check("delta2-log", False, 1, _next, _indices, _delta2_log),
     Check("higher-turan", True, 1, _next_two, _indices, higher_turan_integer),
     Check("u-monotone", True, 1, _next_two, _indices, _u_monotone),
@@ -462,7 +442,7 @@ def pair_threshold_gap(a: int, lam: Fraction, precision_bits: int = DEFAULT_BITS
     if lam < 1:
         raise ValueError(f"lambda must be at least 1, got {lam}")
     ctx = context(precision_bits)
-    lam_a = ctx.mpf(lam.numerator) * a / ctx.mpf(lam.denominator)
+    lam_a = rational_raw(ctx, lam * a)
     sqrt_a = ctx.sqrt(ctx.mpf(a))
     sqrt_lam_a = ctx.sqrt(lam_a)
     t_val = ctx.pi * (sqrt_a + sqrt_lam_a - ctx.sqrt(a + lam_a))

@@ -198,6 +198,35 @@ def test_truncation_realness_gate_fires(monkeypatch):
         rademacher_truncation(SeriesParams(5, 3, 128))
 
 
+def test_realness_check_is_exact_on_the_exponent_multiset(monkeypatch):
+    # Paired exponents pass and sum to 2 cos(pi/7); one extra copy of an
+    # exponent leaves it unpaired and raises, however small its sine.
+    from overpart import UndecidedRealError
+    from overpart import asymptotics as asy
+
+    ctx = iv.context(128)
+    monkeypatch.setattr(asy, "_multiplier_exponents",
+                        lambda n, k: {Fraction(1, 7): 1, Fraction(13, 7): 1, Fraction(1): 3})
+    paired = CertifiedInterval.from_ival(asy._multiplier_sum_raw(ctx, 5, 3), 128)
+    mp_hi = mp.clone()
+    mp_hi.prec = 300
+    assert paired.lo < 2 * mp_hi.cos(mp_hi.pi / 7) - 3 < paired.hi
+    monkeypatch.setattr(asy, "_multiplier_exponents",
+                        lambda n, k: {Fraction(1, 10 ** 6): 2, Fraction(2 * 10 ** 6 - 1, 10 ** 6): 1})
+    with pytest.raises(UndecidedRealError):
+        asy._multiplier_sum_raw(ctx, 5, 3)
+
+
+def test_multiplier_exponents_paired_for_every_residue():
+    # A_k(n) depends on n only mod k: cover every residue for odd k <= 25.
+    from overpart import asymptotics as asy
+
+    ctx = iv.context(64)
+    for k in range(1, 26, 2):
+        for n in range(k):
+            asy._multiplier_sum_raw(ctx, n, k)
+
+
 def test_truncation_error_bound_examples():
     b = truncation_error_bound(1, 3, precision_bits=192)
     assert iv.directed_decimal(b.midpoint_fraction(), 20).startswith("6.1993094034")

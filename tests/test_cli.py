@@ -193,6 +193,19 @@ def test_verify_range_and_bits_usage_errors(capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+def test_verify_multiplicative_range_bounds_a_and_b(capsys):
+    code = run_cli("verify", "--check", "multiplicative", "--from", "100", "--to", "103")
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert [r.subject for r in _parse_csv(captured.out)] == [
+        f"a={a},b={b}" for a in range(100, 104) for b in range(a, 104)]
+    assert "holds=10 " in captured.err
+    for low in ("1", "0"):
+        assert run_cli("verify", "--check", "multiplicative", "--from", low, "--to", "5") \
+            == EXIT_USAGE
+    assert capsys.readouterr().err.count("error:") == 2
+
+
 def test_verify_internal_error_propagates(monkeypatch):
     # An IndexError raised mid-sweep is a bug, not a usage error.
     def broken(table, n):

@@ -97,9 +97,6 @@ def test_half_turn_trig_exact_points():
     for turns, expected in ((0, 1), (1, -1), (Fraction(1, 2), 0), (Fraction(3, 2), 0)):
         ci = _half_turns(iv.cos_half_turns_raw, turns)
         assert ci.lo_fraction() == ci.hi_fraction() == expected
-    for turns, expected in ((0, 0), (1, 0), (Fraction(1, 2), 1), (Fraction(3, 2), -1)):
-        ci = _half_turns(iv.sin_half_turns_raw, turns)
-        assert ci.lo_fraction() == ci.hi_fraction() == expected
 
 
 def test_half_turn_trig_generic_value():

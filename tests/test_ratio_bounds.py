@@ -1,8 +1,13 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import overpart
 from overpart import (
     CertifiedInterval,
     DomainError,
@@ -19,7 +24,12 @@ from overpart import (
     u_ratio,
 )
 from overpart import intervals as iv
-from overpart.ratio_bounds import turan_quadratic_at
+from overpart.ratio_bounds import (
+    LOWER_TAYLOR_COEFFS,
+    UPPER_TAYLOR_COEFFS,
+    _envelope_raw,
+    turan_quadratic_at,
+)
 
 GOLDEN = Fraction(6180339887498949, 10 ** 16)  # approximately (sqrt(5)-1)/2
 
@@ -280,3 +290,71 @@ def test_third_order_expression_matches_rational_form(desk_table):
         cleared = Fraction(higher_turan_integer(desk_table, n),
                            desk_table[n] ** 2 * desk_table[n + 1] ** 2)
         assert rational == cleared, n
+
+
+# -- the kernels enclose exact values wherever one exists ------------------------------
+
+BITS = st.sampled_from([53, 128, 256])
+
+
+@given(y=st.fractions(min_value=Fraction(3, 2), max_value=300, max_denominator=10 ** 6),
+       spread=st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                           max_denominator=1000),
+       signed=st.sampled_from([-1, +1]), bits=BITS)
+@example(y=Fraction(2), spread=Fraction(0), signed=-1, bits=53)
+def test_envelope_kernel_encloses_exact_value_on_progressions(y, spread, signed, bits):
+    # On x - 2y + z = 0 the exponential factor is e^0 = 1, so the envelope is
+    # the rational y^14 (x^5-x^4+s)(z^5-z^4+s) / (x^7 z^7 (y^5-y^4-s)^2).
+    x, z = y - spread * y, y + spread * y
+    exact = (y ** 14 * (x ** 5 - x ** 4 + signed) * (z ** 5 - z ** 4 + signed)
+             / (x ** 7 * z ** 7 * (y ** 5 - y ** 4 - signed) ** 2))
+    ctx = iv.context(bits)
+    raw = _envelope_raw(ctx, *(iv.rational_raw(ctx, v) for v in (x, y, z)), signed)
+    assert CertifiedInterval.from_ival(raw, bits).contains(exact)
+
+
+@given(r=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: 0 < r < 1),
+       bits=st.sampled_from([64, 128, 256]))
+@example(r=Fraction(2, 7), bits=128)  # t = 45/49
+def test_quadratic_kernels_enclose_exact_roots(r, bits):
+    # At t = 1 - r^2, sqrt((1-t)^3) = r^3 is rational, so P and Q are too.
+    t = 1 - r ** 2
+    q = quadratic_upper_root_exact(t)
+    p = (3 * t - 2 * r ** 3 - 2) / t ** 2
+    assert q == (3 * t + 2 * r ** 3 - 2) / t ** 2
+    assert turan_quadratic_at(t, p) == 0 == turan_quadratic_at(t, q)
+    ti = CertifiedInterval.from_fraction(t, bits)
+    assert quadratic_upper_root(ti).contains(q)
+    assert diagonal_gap(ti).contains(q - t)
+    lower, upper = turan_quadratic_roots(t, bits)
+    assert lower.contains(p) and upper.contains(q)
+
+
+def _horner(coeffs, t):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+@given(t=st.fractions(min_value=-10, max_value=0, max_denominator=10 ** 6).filter(lambda t: t < 0),
+       bits=BITS)
+def test_trunc_exp_kernels_enclose_exact_polynomials(t, bits):
+    ti = CertifiedInterval.from_fraction(t, bits)
+    assert trunc_exp_upper(ti).contains(_horner(UPPER_TAYLOR_COEFFS, t))
+    assert trunc_exp_lower(ti).contains(_horner(LOWER_TAYLOR_COEFFS, t))
+
+
+# -- layout --------------------------------------------------------------------------------
+
+
+def test_no_private_name_imported_from_a_sibling_module():
+    # Each interval formula has one home; a sibling that needs it imports a
+    # public kernel, never a private helper.
+    offenders = []
+    for path in sorted(Path(overpart.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [f"{path.name}: from .{node.module} import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
