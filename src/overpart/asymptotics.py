@@ -37,13 +37,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Tuple
 
+from mpmath.libmp.libmpi import mpi_mul, mpi_pi, mpi_sqrt
+
 from .intervals import (
     DEFAULT_BITS,
     CertifiedInterval,
     context,
     cos_half_turns_raw,
-    cosh_raw,
-    sinh_raw,
+    cosh_sinh_raw,
+    int_mpi,
 )
 
 
@@ -130,21 +132,26 @@ def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    return CertifiedInterval.from_ival(mu_raw(ctx, n), precision_bits)
+    return CertifiedInterval.from_ival(_mu_raw(ctx, n), precision_bits)
 
 
-def mu_raw(ctx, n: int):
-    """pi sqrt(n) on the raw context."""
-    return ctx.pi * ctx.sqrt(ctx.mpf(n))
+def mu_mpi(n: int, prec: int):
+    """pi sqrt(n) as an endpoint tuple at ``prec`` bits."""
+    return mpi_mul(mpi_pi(prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
+
+
+def _mu_raw(ctx, n: int):
+    """:func:`mu_mpi` as a raw interval of ``ctx``."""
+    return ctx.make_mpf(mu_mpi(n, ctx.prec))
 
 
 def _term_derivative_raw(ctx, n: int, k: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
     #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k)
-    mu_over_k = mu_raw(ctx, n) / k
+    mu_over_k = _mu_raw(ctx, n) / k
     sqrt_n = ctx.sqrt(ctx.mpf(n))
-    return (ctx.pi / (2 * k * n)) * cosh_raw(ctx, mu_over_k) \
-        - sinh_raw(ctx, mu_over_k) / (2 * n * sqrt_n)
+    cosh, sinh = cosh_sinh_raw(ctx, mu_over_k)
+    return (ctx.pi / (2 * k * n)) * cosh - sinh / (2 * n * sqrt_n)
 
 
 def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
@@ -233,7 +240,7 @@ def main_term(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = mu_raw(ctx, n)
+    m = _mu_raw(ctx, n)
     e = ctx.exp(m)
     value = ((1 + 1 / m) / e + (1 - 1 / m) * e) / (8 * n)
     return CertifiedInterval.from_ival(value, precision_bits)
@@ -255,9 +262,9 @@ def truncation_error_bound(
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
     ctx = context(precision_bits)
-    m = mu_raw(ctx, n)
+    m = _mu_raw(ctx, n)
     arg = m / N
-    body = sinh_raw(ctx, arg)
+    _, body = cosh_sinh_raw(ctx, arg)
     if tightened:
         body -= arg
     value = ctx.sqrt(ctx.mpf(N)) * N * N * body / (n * m)
@@ -276,7 +283,7 @@ def coarse_exp_form(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certifi
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = mu_raw(ctx, n)
+    m = _mu_raw(ctx, n)
     alpha = (1 - 1 / m) / (8 * n)
     bound = 5 * ctx.exp(m / 3) / (2 * n * ctx.sqrt(ctx.mpf(n)))
     bits = precision_bits
@@ -290,7 +297,7 @@ def simple_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certified
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = mu_raw(ctx, n)
+    m = _mu_raw(ctx, n)
     e_over_8n = ctx.exp(m) / (8 * n)
     lower = (1 - 2 / m) * e_over_8n
     upper = e_over_8n * (ctx.mpf(n + 1) / n)
@@ -305,7 +312,7 @@ def refined_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[Certifie
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     ctx = context(precision_bits)
-    m = mu_raw(ctx, n)
+    m = _mu_raw(ctx, n)
     e_over_8n = ctx.exp(m) / (8 * n)
     core = 1 - 1 / m
     window = 1 / m ** 5

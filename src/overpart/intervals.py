@@ -5,9 +5,16 @@ trigonometric values at rational multiples of pi) is produced as a
 :class:`CertifiedInterval`: a closed interval ``[lo, hi]`` of
 arbitrary-precision binary floats with the soundness contract that the exact
 mathematical target lies inside.  The directed rounding itself is delegated to
-mpmath's interval context, which rounds outward at every elementary step, so
-any sign read off an interval endpoint is a certificate rather than an
-estimate.
+mpmath, which rounds outward at every elementary step, so any sign read off an
+interval endpoint is a certificate rather than an estimate.
+
+Two carriers share that rounding.  The hot interval kernels (the envelope, Q
+and the verifiers' gaps) run on raw ``libmpi`` endpoint tuples ``(lo, hi)`` of
+mpf values: ``int_mpi`` and ``rational_mpi`` enter integers and rationals
+rounded outward, and ``mpmath.libmp.mpi_*`` does the arithmetic without the
+interval context's wrapper objects.  Everything else still runs on mpmath's
+interval context (``context(bits)``).  The tests keep the context form of every
+tuple kernel as a bit-for-bit oracle.
 
 Sign queries follow an adaptive ladder: evaluate at a starting precision
 (128 bits by default), double until the interval separates from zero, and
@@ -26,6 +33,8 @@ from typing import Callable, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_div
 
 DEFAULT_BITS = 128
 MAX_BITS = 8192
@@ -46,28 +55,40 @@ def context(bits: int) -> MPIntervalContext:
     return ctx
 
 
-def rational_raw(ctx, value: Rational):
-    """An exact integer or rational as a raw interval of ``ctx`` (a point
-    when it is representable, else rounded outward)."""
+def int_mpi(value: int, prec: int):
+    """An integer as an endpoint tuple at ``prec`` bits (a point when it is
+    representable, else rounded outward), as the interval context enters it."""
+    return from_int(value, prec, round_floor), from_int(value, prec, round_ceiling)
+
+
+def rational_mpi(value: Rational, prec: int):
+    """An exact integer or rational as an endpoint tuple at ``prec`` bits:
+    numerator over denominator, rounded outward."""
     value = Fraction(value)
-    return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return mpi_div(int_mpi(value.numerator, prec), int_mpi(value.denominator, prec), prec)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (binary floats are dyadic)."""
-    sign, man, exp, _ = x._mpf_
+def rational_raw(ctx, value: Rational):
+    """:func:`rational_mpi` as a raw interval of ``ctx``."""
+    return ctx.make_mpf(rational_mpi(value, ctx.prec))
+
+
+def raw_to_fraction(raw) -> Fraction:
+    """Exact rational value of a finite raw mpf tuple (binary floats are
+    dyadic)."""
+    sign, man, exp, _ = raw
     if man == 0:
         if exp == 0:
             return Fraction(0)
-        raise ValueError(f"non-finite endpoint {x!r}")
+        raise ValueError(f"non-finite endpoint {mp.make_mpf(raw)!r}")
     man = int(man)  # gmpy2-backed builds hand back mpz
     frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -frac if sign else frac
 
 
-def _endpoints(ival):
-    a, b = ival._mpi_
-    return mp.make_mpf(a), mp.make_mpf(b)
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a finite mpf."""
+    return raw_to_fraction(x._mpf_)
 
 
 class CertifiedInterval:
@@ -92,8 +113,13 @@ class CertifiedInterval:
 
     @classmethod
     def from_ival(cls, ival, bits: int) -> "CertifiedInterval":
-        lo, hi = _endpoints(ival)
-        return cls(lo, hi, bits)
+        return cls.from_mpi(ival._mpi_, bits)
+
+    @classmethod
+    def from_mpi(cls, endpoints, bits: int) -> "CertifiedInterval":
+        """From a raw ``(lo, hi)`` endpoint tuple."""
+        lo, hi = endpoints
+        return cls(mp.make_mpf(lo), mp.make_mpf(hi), bits)
 
     @classmethod
     def from_int(cls, value: int, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
@@ -121,6 +147,11 @@ class CertifiedInterval:
         if ctx is None:
             ctx = context(self.precision_bits)
         return ctx.mpf([self.lo, self.hi])
+
+    @property
+    def mpi(self):
+        """The raw ``(lo, hi)`` endpoint tuple."""
+        return self.lo._mpf_, self.hi._mpf_
 
     def lo_fraction(self) -> Fraction:
         return mpf_to_fraction(self.lo)
@@ -246,15 +277,12 @@ def log(x: CertifiedInterval) -> CertifiedInterval:
     return _unary(x, "log")
 
 
-def sinh_raw(ctx, x):
-    """sinh on a raw mpmath interval; composed from exp, rounds outward."""
+def cosh_sinh_raw(ctx, x):
+    """(cosh x, sinh x) on a raw mpmath interval, both composed from one
+    exponential; rounds outward."""
     e = ctx.exp(x)
-    return (e - 1 / e) / 2
-
-
-def cosh_raw(ctx, x):
-    e = ctx.exp(x)
-    return (e + 1 / e) / 2
+    inverse = 1 / e
+    return (e + inverse) / 2, (e - inverse) / 2
 
 
 def cos_half_turns_raw(ctx, turns: Fraction):
@@ -352,3 +380,13 @@ def directed_decimal(value: Fraction, sig: int = 6, round_up: bool = False) -> s
     digits = str(q)
     mantissa = digits[0] + "." + digits[1:]
     return ("-" if neg else "") + mantissa + f"e{e:+d}"
+
+
+def render_endpoint(raw, round_up: bool) -> str:
+    """A raw mpf endpoint as a directed decimal; an infinite one as
+    ``-inf`` or ``+inf``."""
+    if raw == fninf:
+        return "-inf"
+    if raw == finf:
+        return "+inf"
+    return directed_decimal(raw_to_fraction(raw), round_up=round_up)

@@ -25,6 +25,13 @@ Each of these interval formulas is written once, here.  With the window
 and Q(u_n) - lower(n) - window (f_vs_q_gaps_raw); the verifiers certify their
 signs over finite ranges instead of assuming them.
 
+The envelope, window, Q and P, and the gap kernels run on outward-rounded
+``libmpi`` endpoint tuples, not on mpmath's interval context, and take the
+mu data a sweep shares from a :class:`KernelData`.  Each keeps the operation
+order of its context formula, which the tests keep as a bit-for-bit oracle, so
+the enclosures are the ones the context would give.  The truncated
+exponentials still run on the context.
+
 The cubic with coefficients binom(3,j) pbar(n+j) is hyperbolic (all roots
 real) exactly when its discriminant is nonnegative; the discriminant is an
 exact integer here and equals 27 times the third-order expression in
@@ -35,11 +42,23 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from mpmath.libmp import from_int
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_sqrt,
+    mpi_square,
+    mpi_sub,
+)
 
 from .exact_core import OverpartitionTable
-from .intervals import DEFAULT_BITS, CertifiedInterval, context, rational_raw
-from .asymptotics import mu_raw
+from .intervals import DEFAULT_BITS, CertifiedInterval, context, int_mpi, rational_mpi, rational_raw
+from .asymptotics import mu_mpi
 
 
 class DomainError(ValueError):
@@ -58,52 +77,118 @@ def u_ratio(table: OverpartitionTable, n: int) -> Fraction:
 
 # -- the envelope, the window, Q and P, and the gap kernels ------------------------
 
+_ONE, _TWO, _THREE = ((from_int(c), from_int(c)) for c in (1, 2, 3))
 
-def _envelope_raw(ctx, x, y, z, signed: int):
+
+class KernelData:
+    """The mu data of one sweep at one precision, built on first use.
+
+    Holds (mu, mu^4, mu^5, mu^7, mu^14) per index and, per middle index n,
+    the envelope's shared factors at mu(n-1), mu(n), mu(n+1).  Sweeps run in
+    index order, so each store keeps only its ``WINDOW`` newest entries and
+    drops those the sweep has passed: memory stays fixed however long the
+    sweep.  Two are enough for each index to be computed once, since subject
+    n + 1 reads only the triples at n + 1 and n + 2, built from the powers at
+    n .. n + 3.
+    """
+
+    WINDOW = 2
+
+    def __init__(self, prec: int):
+        self.prec = prec
+        self._powers: Dict[int, tuple] = {}
+        self._triples: Dict[int, tuple] = {}
+
+    def _keep(self, store: Dict[int, tuple], key: int, value: tuple) -> tuple:
+        if len(store) >= self.WINDOW:
+            del store[next(iter(store))]
+        store[key] = value
+        return value
+
+    def powers(self, m: int) -> tuple:
+        """(mu, mu^4, mu^5, mu^7, mu^14) at index m."""
+        found = self._powers.get(m)
+        if found is None:
+            found = self._keep(self._powers, m, _powers(self.prec, mu_mpi(m, self.prec)))
+        return found
+
+    def triple(self, n: int) -> tuple:
+        """The envelope's arguments at n: see :func:`_triple`."""
+        found = self._triples.get(n)
+        if found is None:
+            found = self._keep(self._triples, n, _triple(
+                self.prec, self.powers(n - 1), self.powers(n), self.powers(n + 1)))
+        return found
+
+
+def _powers(prec: int, x):
+    """(x, x^4, x^5, x^7, x^14) of one enclosure."""
+    return (x,) + tuple(mpi_pow_int(x, k, prec) for k in (4, 5, 7, 14))
+
+
+def _triple(prec: int, x, y, z):
+    """The powers of x, y, z with e^{x-2y+z} and x^7 z^7, the factors both
+    envelope members share."""
+    e = mpi_exp(mpi_add(mpi_sub(x[0], mpi_mul(_TWO, y[0], prec), prec), z[0], prec), prec)
+    return x, y, z, e, mpi_mul(x[3], z[3], prec)
+
+
+def _envelope(prec: int, triple, signed: int):
     """Shared shape of the two envelope functions; signed = -1 gives the
-    lower bound, +1 the upper."""
-    e = ctx.exp(x - 2 * y + z)
-    num = y ** 14 * (x ** 5 - x ** 4 + signed) * (z ** 5 - z ** 4 + signed)
-    den = x ** 7 * z ** 7 * (y ** 5 - y ** 4 - signed) ** 2
-    return e * num / den
+    lower bound, +1 the upper:
+    e^{x-2y+z} y^14 (x^5-x^4+s)(z^5-z^4+s) / (x^7 z^7 (y^5-y^4-s)^2)."""
+    (_, x4, x5, _, _), (_, y4, y5, _, y14), (_, z4, z5, _, _), e, x7z7 = triple
+    s = (from_int(signed), from_int(signed))
+    num = mpi_mul(mpi_mul(y14, mpi_add(mpi_sub(x5, x4, prec), s, prec), prec),
+                  mpi_add(mpi_sub(z5, z4, prec), s, prec), prec)
+    den = mpi_mul(x7z7, mpi_square(mpi_sub(mpi_sub(y5, y4, prec), s, prec), prec), prec)
+    return mpi_div(mpi_mul(e, num, prec), den, prec)
 
 
-def _window_raw(x):
-    """The window 1000/x^5 at x = mu(n-1)."""
-    return 1000 / x ** 5
+def _window(prec: int, x):
+    """The window 1000/x^5 at the powers x of mu(n-1)."""
+    return mpi_div(int_mpi(1000, prec), x[2], prec)
 
 
-def _q_raw(ctx, t, sign: int):
-    """Q(t) for sign = +1, P(t) for sign = -1: (3t +- 2 sqrt((1-t)^3) - 2) / t^2."""
-    return (3 * t + sign * 2 * ctx.sqrt((1 - t) ** 3) - 2) / t ** 2
+def _q(prec: int, t, sign: int):
+    """Q(t) for sign = +1, P(t) for sign = -1: (3t +- 2 sqrt((1-t)^3) - 2) / t^2.
+
+    Raises mpmath's ComplexResult when the enclosure of t reaches past 1.
+    """
+    root = mpi_sqrt(mpi_pow_int(mpi_sub(_ONE, t, prec), 3, prec), prec)
+    num = mpi_add(mpi_mul(_THREE, t, prec), mpi_mul(int_mpi(sign * 2, prec), root, prec), prec)
+    return mpi_div(mpi_sub(num, _TWO, prec), mpi_square(t, prec), prec)
 
 
-def fg_sandwich_gaps_raw(ctx, n: int, u: Fraction):
+def fg_sandwich_gaps_raw(data: KernelData, n: int, u: Fraction):
     """[u_n - lower(n), upper(n) - u_n] for the exact ratio u = u_n."""
-    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
-    ui = rational_raw(ctx, u)
-    return [ui - _envelope_raw(ctx, x, y, z, -1), _envelope_raw(ctx, x, y, z, +1) - ui]
+    prec, triple = data.prec, data.triple(n)
+    ui = rational_mpi(u, prec)
+    return [mpi_sub(ui, _envelope(prec, triple, -1), prec),
+            mpi_sub(_envelope(prec, triple, +1), ui, prec)]
 
 
-def g_vs_f_shift_gaps_raw(ctx, n: int):
+def g_vs_f_shift_gaps_raw(data: KernelData, n: int):
     """[lower(n) + window - upper(n+1)]."""
-    x, y, z, w = (mu_raw(ctx, m) for m in range(n - 1, n + 3))
-    return [_envelope_raw(ctx, x, y, z, -1) + _window_raw(x) - _envelope_raw(ctx, y, z, w, +1)]
+    prec, triple = data.prec, data.triple(n)
+    lower = mpi_add(_envelope(prec, triple, -1), _window(prec, triple[0]), prec)
+    return [mpi_sub(lower, _envelope(prec, data.triple(n + 1), +1), prec)]
 
 
-def f_vs_q_gaps_raw(ctx, n: int, u: Fraction):
+def f_vs_q_gaps_raw(data: KernelData, n: int, u: Fraction):
     """[Q(u_n) - lower(n) - window] for the exact ratio u = u_n."""
-    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
-    q = _q_raw(ctx, rational_raw(ctx, u), +1)
-    return [q - _envelope_raw(ctx, x, y, z, -1) - _window_raw(x)]
+    prec, triple = data.prec, data.triple(n)
+    q = _q(prec, rational_mpi(u, prec), +1)
+    return [mpi_sub(mpi_sub(q, _envelope(prec, triple, -1), prec),
+                    _window(prec, triple[0]), prec)]
 
 
 def _envelope_at(n: int, precision_bits: int, signed: int) -> CertifiedInterval:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    ctx = context(precision_bits)
-    x, y, z = (mu_raw(ctx, m) for m in range(n - 1, n + 2))
-    return CertifiedInterval.from_ival(_envelope_raw(ctx, x, y, z, signed), precision_bits)
+    context(precision_bits)  # validates the precision
+    triple = KernelData(precision_bits).triple(n)
+    return CertifiedInterval.from_mpi(_envelope(precision_bits, triple, signed), precision_bits)
 
 
 def ratio_lower_bound(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
@@ -122,10 +207,9 @@ def ratio_upper_bound(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedIn
 def _q_at(t: CertifiedInterval, minus_t: bool) -> CertifiedInterval:
     if not (t.lo > 0 and t.hi < 1):
         raise DomainError(f"argument must lie strictly inside (0, 1), got {t!r}")
-    ctx = context(t.precision_bits)
-    ti = t.ival(ctx)
-    q = _q_raw(ctx, ti, +1)
-    return CertifiedInterval.from_ival(q - ti if minus_t else q, t.precision_bits)
+    prec, ti = t.precision_bits, t.mpi
+    q = _q(prec, ti, +1)
+    return CertifiedInterval.from_mpi(mpi_sub(q, ti, prec) if minus_t else q, prec)
 
 
 def quadratic_upper_root(t: CertifiedInterval) -> CertifiedInterval:
@@ -167,9 +251,9 @@ def turan_quadratic_roots(
         raise DomainError("u = 1 gives a double root; no open positivity window")
     if not 0 < value < 1:
         raise DomainError(f"u must lie in (0, 1), got {value}")
-    ctx = context(precision_bits)
-    ui = rational_raw(ctx, value)
-    lower, upper = (CertifiedInterval.from_ival(_q_raw(ctx, ui, sign), precision_bits)
+    context(precision_bits)  # validates the precision
+    ui = rational_mpi(value, precision_bits)
+    lower, upper = (CertifiedInterval.from_mpi(_q(precision_bits, ui, sign), precision_bits)
                     for sign in (-1, +1))
     if not lower.hi < upper.lo:
         raise DomainError(f"roots not separated at {precision_bits} bits")

@@ -14,6 +14,15 @@ Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
 the table it needs, its subjects and its per-subject evaluator.
 :func:`run_check` validates a spec against its entry once, then sweeps the
 subjects in index order.
+
+The interval evaluators (``delta2-log`` here, the envelope gaps in
+:mod:`overpart.ratio_bounds`) compute on outward-rounded ``libmpi`` endpoint
+tuples, and signs are read straight off those endpoints; the tests keep each
+formula's interval-context form as a bit-for-bit oracle.  A sweep gets one
+:class:`~overpart.ratio_bounds.KernelData` per precision rung, which shares mu
+data between neighbouring subjects and is dropped when :func:`run_check`
+returns.  A rung at which an enclosure leaves a square root's domain is read
+as unsettled, so the ladder climbs past it.
 """
 
 from __future__ import annotations
@@ -24,6 +33,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from mpmath import mp
+from mpmath.libmp import ComplexResult, mpf_sign
+from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_pi, mpi_sqrt
+
 from .exact_core import OverpartitionTable
 from .intervals import (
     DEFAULT_BITS,
@@ -31,10 +44,14 @@ from .intervals import (
     certify_sign,
     context,
     directed_decimal,
+    int_mpi,
     precision_ladder,
     rational_raw,
+    raw_to_fraction,
+    render_endpoint,
 )
 from .ratio_bounds import (
+    KernelData,
     f_vs_q_gaps_raw,
     fg_sandwich_gaps_raw,
     g_vs_f_shift_gaps_raw,
@@ -127,38 +144,47 @@ def _exact_item(subject: str, value: int) -> CheckItem:
     return CheckItem(subject=subject, verdict=verdict, margin=str(value), precision_bits=0)
 
 
-def _settled(gaps: List[CertifiedInterval]) -> bool:
-    return any(g.is_negative() for g in gaps) or all(g.is_positive() for g in gaps)
+def _settled(gaps: Optional[List[tuple]]) -> bool:
+    return gaps is not None and (any(mpf_sign(hi) < 0 for _, hi in gaps)
+                                 or all(mpf_sign(lo) > 0 for lo, _ in gaps))
 
 
-def _interval_item(subject: str, gaps_at: Callable, start_bits: int) -> CheckItem:
-    """Certify that every gap ``gaps_at(ctx)`` returns is positive; fails on
-    any certified negative gap, undecided when the ladder's cap is reached
-    with neither."""
-    bits, gaps = precision_ladder(
-        lambda b: [CertifiedInterval.from_ival(g, b) for g in gaps_at(context(b))],
-        _settled, start_bits)
-    negative = [g for g in gaps if g.is_negative()]
+def _interval_item(subject: str, gaps_at: Callable, start_bits: int,
+                   kernel_data: Callable[[int], KernelData]) -> CheckItem:
+    """Certify that every gap ``gaps_at(kernel_data(bits))`` returns is
+    positive; fails on any certified negative gap, undecided when the ladder's
+    cap is reached with neither.
+
+    A rung whose enclosures leave a square root's domain (mpmath's
+    ComplexResult) is unsettled, so the ladder climbs; at the cap that reads
+    as undecided with an unbounded margin.
+    """
+    def evaluate(bits: int) -> Optional[List[tuple]]:
+        try:
+            return gaps_at(kernel_data(bits))
+        except ComplexResult:
+            return None
+
+    bits, gaps = precision_ladder(evaluate, _settled, start_bits)
+    if gaps is None:
+        return CheckItem(subject, Verdict.UNDECIDED, "-inf..+inf", bits)
+    negative = [hi for _, hi in gaps if mpf_sign(hi) < 0]
     if negative:
-        worst = min(negative, key=lambda g: g.hi_fraction())
-        return CheckItem(subject, Verdict.FAILS,
-                         directed_decimal(worst.hi_fraction(), round_up=True), bits)
-    if all(g.is_positive() for g in gaps):
-        margin = min(g.lo_fraction() for g in gaps)
-        return CheckItem(subject, Verdict.HOLDS,
-                         directed_decimal(margin, round_up=False), bits)
-    unresolved = min((g for g in gaps if not g.is_positive()),
-                     key=lambda g: g.lo_fraction())
-    margin = (directed_decimal(unresolved.lo_fraction(), round_up=False)
-              + ".." + directed_decimal(unresolved.hi_fraction(), round_up=True))
+        worst = min(raw_to_fraction(hi) for hi in negative)
+        return CheckItem(subject, Verdict.FAILS, directed_decimal(worst, round_up=True), bits)
+    if all(mpf_sign(lo) > 0 for lo, _ in gaps):
+        margin = min(raw_to_fraction(lo) for lo, _ in gaps)
+        return CheckItem(subject, Verdict.HOLDS, directed_decimal(margin, round_up=False), bits)
+    lo, hi = min((g for g in gaps if mpf_sign(g[0]) <= 0), key=lambda g: mp.make_mpf(g[0]))
+    margin = render_endpoint(lo, round_up=False) + ".." + render_endpoint(hi, round_up=True)
     return CheckItem(subject, Verdict.UNDECIDED, margin, bits)
 
 
 # -- subjects and evaluators --------------------------------------------------------
 #
 # An exact evaluator returns an integer whose sign is the verdict.  An interval
-# evaluator returns gaps(ctx), the raw intervals that must all be positive,
-# re-evaluated at each rung of the ladder.
+# evaluator returns gaps(data), the endpoint tuples that must all be positive,
+# re-evaluated at each rung of the ladder with that rung's KernelData.
 
 
 def _indices(spec: CheckSpec) -> Iterable[Tuple[str, int]]:
@@ -213,25 +239,29 @@ def _delta2_log(table: OverpartitionTable, n: int) -> Callable:
     outer = table[n - 1] * table[n + 1]
     square = table[n] ** 2
 
-    def gaps(ctx):
-        n32 = ctx.sqrt(ctx.mpf(n)) * n
-        return [ctx.mpf(outer) * ctx.pi + 4 * n32 * ctx.mpf(outer - square)]
+    def gaps(data: KernelData):
+        # outer pi + 4 n^{3/2} (outer - square)
+        prec = data.prec
+        n_mpi = int_mpi(n, prec)
+        n32 = mpi_mul(mpi_sqrt(n_mpi, prec), n_mpi, prec)
+        scaled = mpi_mul(mpi_mul(int_mpi(4, prec), n32, prec), int_mpi(outer - square, prec), prec)
+        return [mpi_add(mpi_mul(int_mpi(outer, prec), mpi_pi(prec), prec), scaled, prec)]
 
     return gaps
 
 
 def _fg_sandwich(table: OverpartitionTable, n: int) -> Callable:
     u = u_ratio(table, n)
-    return lambda ctx: fg_sandwich_gaps_raw(ctx, n, u)
+    return lambda data: fg_sandwich_gaps_raw(data, n, u)
 
 
 def _g_vs_f_shift(table: Optional[OverpartitionTable], n: int) -> Callable:
-    return lambda ctx: g_vs_f_shift_gaps_raw(ctx, n)
+    return lambda data: g_vs_f_shift_gaps_raw(data, n)
 
 
 def _f_vs_q(table: OverpartitionTable, n: int) -> Callable:
     u = u_ratio(table, n)
-    return lambda ctx: f_vs_q_gaps_raw(ctx, n, u)
+    return lambda data: f_vs_q_gaps_raw(data, n, u)
 
 
 # -- the registry -------------------------------------------------------------------
@@ -299,12 +329,20 @@ def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResu
     if needed and needed > table.max_n:
         raise IndexError(f"{spec.name} needs pbar(0..{needed}), table stops at {table.max_n}")
     check = CHECKS[spec.name]
+    rungs: Dict[int, KernelData] = {}  # one per precision, dropped on return
+
+    def kernel_data(bits: int) -> KernelData:
+        data = rungs.get(bits)
+        if data is None:
+            data = rungs[bits] = KernelData(bits)
+        return data
+
     start = time.perf_counter()
     items = []
     for label, subject in check.subjects(spec):
         value = check.evaluate(table, subject)
         items.append(_exact_item(label, value) if check.exact
-                     else _interval_item(label, value, spec.precision_bits))
+                     else _interval_item(label, value, spec.precision_bits, kernel_data))
     return CheckResult(spec=spec, items=items, wall_time=time.perf_counter() - start)
 
 

@@ -154,6 +154,20 @@ def test_verify_fg_sandwich_bits(capsys):
     assert all(r.precision_bits == 256 for r in _parse_csv(captured.out))
 
 
+def test_verify_f_vs_q_low_start_bits_climbs(capsys):
+    # At low precision the enclosure of u_n reaches past 1 (from n = 92 at 8
+    # bits, near n = 2000 at 16), so sqrt((1-u)^3) leaves its domain; the
+    # ladder climbs instead of crashing.
+    for bits, to_n in ((2, 300), (8, 300), (16, 2000)):
+        code = run_cli("verify", "--check", "f-vs-q", "--from", "92", "--to", str(to_n),
+                       "--bits", str(bits))
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, bits
+        records = _parse_csv(captured.out)
+        assert len(records) == to_n - 91 and f"holds={to_n - 91} " in captured.err, bits
+        assert all(r.verdict == "holds" and r.precision_bits >= bits for r in records), bits
+
+
 def test_verify_formats_agree(tmp_path, capsys):
     csv_path = tmp_path / "r.csv"
     jsonl_path = tmp_path / "r.jsonl"

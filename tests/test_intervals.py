@@ -63,12 +63,20 @@ def _raw_unary(raw):
     return lifted
 
 
+def _cosh(ctx, x):
+    return iv.cosh_sinh_raw(ctx, x)[0]
+
+
+def _sinh(ctx, x):
+    return iv.cosh_sinh_raw(ctx, x)[1]
+
+
 def _half_turns(raw, turns, bits=128):
     return CertifiedInterval.from_ival(raw(iv.context(bits), Fraction(turns)), bits)
 
 
 def test_precision_doubling_nests():
-    fns = [iv.sqrt, iv.exp, iv.log, _raw_unary(iv.sinh_raw), _raw_unary(iv.cosh_raw)]
+    fns = [iv.sqrt, iv.exp, iv.log, _raw_unary(_sinh), _raw_unary(_cosh)]
     rng = random.Random(7)
     for _ in range(50):
         fn = rng.choice(fns)
@@ -86,10 +94,10 @@ def test_sinh_cosh_against_multiprecision():
     for value in (Fraction(1), Fraction(7, 2), Fraction(1, 10)):
         x = CertifiedInterval.from_fraction(value, 128)
         target = mp_hi.sinh(mp_hi.mpf(value.numerator) / value.denominator)
-        s = _raw_unary(iv.sinh_raw)(x)
+        s = _raw_unary(_sinh)(x)
         assert s.lo < target < s.hi
         target = mp_hi.cosh(mp_hi.mpf(value.numerator) / value.denominator)
-        c = _raw_unary(iv.cosh_raw)(x)
+        c = _raw_unary(_cosh)(x)
         assert c.lo < target < c.hi
 
 

@@ -27,7 +27,9 @@ from overpart import intervals as iv
 from overpart.ratio_bounds import (
     LOWER_TAYLOR_COEFFS,
     UPPER_TAYLOR_COEFFS,
-    _envelope_raw,
+    _envelope,
+    _powers,
+    _triple,
     turan_quadratic_at,
 )
 
@@ -308,9 +310,8 @@ def test_envelope_kernel_encloses_exact_value_on_progressions(y, spread, signed,
     x, z = y - spread * y, y + spread * y
     exact = (y ** 14 * (x ** 5 - x ** 4 + signed) * (z ** 5 - z ** 4 + signed)
              / (x ** 7 * z ** 7 * (y ** 5 - y ** 4 - signed) ** 2))
-    ctx = iv.context(bits)
-    raw = _envelope_raw(ctx, *(iv.rational_raw(ctx, v) for v in (x, y, z)), signed)
-    assert CertifiedInterval.from_ival(raw, bits).contains(exact)
+    triple = _triple(bits, *(_powers(bits, iv.rational_mpi(v, bits)) for v in (x, y, z)))
+    assert CertifiedInterval.from_mpi(_envelope(bits, triple, signed), bits).contains(exact)
 
 
 @given(r=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: 0 < r < 1),

@@ -1,7 +1,11 @@
 import dataclasses
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath.libmp import ComplexResult, finf, fninf, from_int
 
 from overpart import (
     CheckSpec,
@@ -21,6 +25,9 @@ from overpart import (
     pair_threshold_gap,
     run_campaign,
 )
+from overpart import ratio_bounds, verifiers
+from overpart.intervals import MAX_BITS
+from overpart.ratio_bounds import KernelData
 from overpart.verifiers import CHECK_NAMES, CHECKS, run_check, table_requirement
 
 
@@ -174,6 +181,116 @@ def test_interval_margins_have_consistent_sign(desk_table):
             assert not item.margin.startswith("-")
         elif item.verdict is Verdict.FAILS:
             assert item.margin.startswith("-")
+
+
+# -- the precision ladder on real data and on synthetic gaps ------------------------------
+
+# Each interval check's range in the paper-desk suite.
+DESK_INTERVAL_RANGES = {
+    "delta2-log": (2, 5000),
+    "fg-sandwich": (55, 2000),
+    "g-vs-f-shift": (2, 5614),
+    "f-vs-q": (92, 5000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESK_INTERVAL_RANGES))
+@given(data=st.data(), start_bits=st.integers(2, 64))
+def test_ladder_from_low_start_bits_keeps_the_128_bit_verdicts(desk_table, name, data,
+                                                                start_bits):
+    low, high = DESK_INTERVAL_RANGES[name]
+    length = data.draw(st.integers(1, 4), label="length")
+    first = data.draw(st.integers(low, high - length + 1), label="first")
+    spec = CheckSpec(name, first, first + length - 1, start_bits)
+    result = run_check(desk_table, spec)
+    reference = run_check(desk_table, dataclasses.replace(spec, precision_bits=128))
+    assert [i.verdict for i in result.items] == [i.verdict for i in reference.items]
+    assert all(item.precision_bits >= start_bits for item in result.items)
+
+
+def _synthetic_gaps(monkeypatch, gaps):
+    """Make g-vs-f-shift evaluate ``gaps(data)`` for every subject; returns
+    the precisions it was called at."""
+    rungs = []
+
+    def evaluate(table, n):
+        def at(data):
+            rungs.append(data.prec)
+            return gaps(data)
+        return at
+
+    monkeypatch.setitem(CHECKS, "g-vs-f-shift",
+                        dataclasses.replace(CHECKS["g-vs-f-shift"], evaluate=evaluate))
+    return rungs
+
+
+def _raise_domain_error(data):
+    raise ComplexResult("square root of a negative number")
+
+
+@pytest.mark.parametrize("gaps", [_raise_domain_error, lambda data: [(fninf, finf)]],
+                         ids=["domain-error", "unbounded"])
+def test_ladder_cap_reads_undecided_with_an_unbounded_margin(monkeypatch, gaps):
+    rungs = _synthetic_gaps(monkeypatch, gaps)
+    item, = check_g_vs_f_shift(None, 2, 2).items
+    assert (item.verdict, item.margin, item.precision_bits) == (
+        Verdict.UNDECIDED, "-inf..+inf", MAX_BITS)
+    assert rungs == [128, 256, 512, 1024, 2048, 4096, 8192]
+
+
+def test_ladder_climbs_past_a_domain_error(monkeypatch):
+    one = (from_int(1), from_int(1))
+
+    def gaps(data):
+        if data.prec < 512:
+            raise ComplexResult("square root of a negative number")
+        return [one]
+
+    rungs = _synthetic_gaps(monkeypatch, gaps)
+    item, = check_g_vs_f_shift(None, 2, 2).items
+    assert (item.verdict, item.margin, item.precision_bits) == (Verdict.HOLDS, "1.00000e+0", 512)
+    assert rungs == [128, 256, 512]
+
+
+def test_ladder_lets_other_errors_propagate(monkeypatch):
+    def gaps(data):
+        raise ZeroDivisionError("kernel bug")
+
+    _synthetic_gaps(monkeypatch, gaps)
+    with pytest.raises(ZeroDivisionError, match="kernel bug"):
+        check_g_vs_f_shift(None, 2, 2)
+
+
+def test_kernel_data_is_a_window_freed_with_the_run(monkeypatch):
+    # A long sweep computes each mu once, holds a fixed number of indices per
+    # rung, and leaves no reference to its kernel data once run_check returns.
+    made, sizes, computed = [], [], []
+
+    class Recording(KernelData):
+        def __init__(self, prec):
+            super().__init__(prec)
+            made.append(weakref.ref(self))
+
+        def triple(self, n):
+            found = super().triple(n)
+            sizes.append(max(len(self._powers), len(self._triples)))
+            return found
+
+    def counting_mu(m, prec):
+        computed.append((m, prec))
+        return mu_mpi(m, prec)
+
+    mu_mpi = ratio_bounds.mu_mpi
+    monkeypatch.setattr(verifiers, "KernelData", Recording)
+    monkeypatch.setattr(ratio_bounds, "mu_mpi", counting_mu)
+    assert check_g_vs_f_shift(None, 2, 5614).ok
+    assert len(made) == 1 and made[0]() is None
+    assert max(sizes) <= KernelData.WINDOW
+    assert sorted(computed) == [(m, 128) for m in range(1, 5617)]
+
+    made.clear()
+    assert check_g_vs_f_shift(None, 2, 40, precision_bits=4).ok  # climbs several rungs
+    assert len(made) > 1 and all(ref() is None for ref in made)
 
 
 # -- threshold table ---------------------------------------------------------------------
