@@ -22,7 +22,6 @@ from .asymptotics import (
     RootOfUnity,
     SeriesParams,
     UndecidedRealError,
-    coarse_exp_form,
     main_term,
     mu,
     omega,
@@ -96,7 +95,6 @@ __all__ = [
     "check_multiplicative",
     "check_strong_log_concavity",
     "check_u_monotone",
-    "coarse_exp_form",
     "diagonal_gap",
     "enumerate_overpartitions",
     "higher_turan_integer",

@@ -11,12 +11,14 @@ with mu = mu(n) = pi sqrt(n) and A_k(n) the multiplier sum
 where w(h,k) = exp(pi i * s(h,k)) and s(h,k) is the exact rational sawtooth
 sum  s(h,k) = sum_{r=1}^{k-1} (r/k) (hr/k - floor(hr/k) - 1/2).
 
-Everything inexact is interval-valued (:mod:`overpart.intervals`); everything
-that can be exact stays exact: the multiplier exponents are rationals mod 2,
-combined term by term, and only one interval cosine per distinct exponent is
-ever evaluated.  Conjugate residues h and k-h carry opposite exponents, so each
-A_k(n) is real; the truncation checks exactly, on the exponent multiset, that
-every exponent is matched by its negative, rather than assuming it.
+Everything inexact is computed on outward-rounded ``libmpi`` endpoint tuples
+(:mod:`overpart.intervals`) and returned as a :class:`CertifiedInterval`;
+everything that can be exact stays exact: the multiplier exponents are
+rationals mod 2, combined term by term, and only one interval cosine per
+distinct exponent is ever evaluated.  Conjugate residues h and k-h carry
+opposite exponents, so each A_k(n) is real; the truncation checks exactly, on
+the exponent multiset, that every exponent is matched by its negative, rather
+than assuming it.
 
 Truncating the series at odd cutoff N leaves an error R(n, N) with the
 explicit bound |R| <= N^{5/2}/(n mu) * sinh(mu/N), and a slightly tightened
@@ -25,9 +27,10 @@ variant subtracting the linear sinh term.  The closed k = 1 term
     (1/8n) [ (1 + 1/mu) e^{-mu} + (1 - 1/mu) e^{mu} ]
 
 doubles as the whole sum for cutoffs below 3.  The module also carries the
-coarser exponential bounds used by the inequality verifiers: the leading-form
-decomposition pbar(n) ~ (1 - 1/mu) e^mu / 8n, the simple two-sided bounds, and
-the refined pair with the mu^{-5} window.
+coarser exponential bounds around the leading form (1 - 1/mu) e^mu / 8n: the
+simple two-sided bounds and the refined pair with the mu^{-5} window.  Each
+formula keeps the operation order of its interval-context form, which the
+tests keep as a bit-for-bit oracle.
 """
 
 from __future__ import annotations
@@ -37,17 +40,27 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Tuple
 
-from mpmath.libmp.libmpi import mpi_mul, mpi_pi, mpi_sqrt
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    mpi_one,
+    mpi_pi,
+    mpi_pow_int,
+    mpi_sqrt,
+    mpi_sub,
+    mpi_zero,
+)
 
 from .intervals import (
     DEFAULT_BITS,
     CertifiedInterval,
-    context,
-    cos_half_turns_raw,
-    cosh_sinh_raw,
+    check_precision,
+    cos_half_turns_mpi,
+    cosh_sinh_mpi,
     int_mpi,
 )
-
 
 class UndecidedRealError(Exception):
     """A multiplier sum's exponent multiset is not conjugate-symmetric, so the
@@ -59,12 +72,8 @@ class UndecidedRealError(Exception):
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """exp(i pi * numerator/denominator) with the exponent kept exact.
-
-    The exponent lives in [0, 2) (mod 2 normalization); multiplication and
-    division add and subtract exponents in exact rational arithmetic, so no
-    rounding enters before the final cosine.
-    """
+    """exp(i pi * numerator/denominator), kept as its exact exponent in [0, 2)
+    (mod 2 normalization), so no rounding enters before the final cosine."""
 
     numerator: int
     denominator: int
@@ -77,22 +86,6 @@ class RootOfUnity:
     @property
     def exponent(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.from_exponent(self.exponent + other.exponent)
-
-    def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.from_exponent(self.exponent - other.exponent)
-
-    def __pow__(self, power: int) -> "RootOfUnity":
-        return RootOfUnity.from_exponent(self.exponent * power)
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity.from_exponent(-self.exponent)
-
-    def real(self, bits: int = DEFAULT_BITS) -> CertifiedInterval:
-        ctx = context(bits)
-        return CertifiedInterval.from_ival(cos_half_turns_raw(ctx, self.exponent), bits)
 
 
 def sawtooth_exponent(h: int, k: int) -> Fraction:
@@ -120,8 +113,9 @@ def omega(h: int, k: int) -> RootOfUnity:
 
 def series_multiplier(h: int, k: int) -> RootOfUnity:
     """w(h,k)^2 / w(2h,k), again a root of unity (denominator divides 2k^2
-    for odd k); 2h is reduced mod k, which the sawtooth sum is periodic in."""
-    return omega(h, k) ** 2 / omega((2 * h) % k, k)
+    for odd k), with exponent 2 s(h,k) - s(2h mod k, k) mod 2; 2h is reduced
+    mod k, which the sawtooth sum is periodic in."""
+    return RootOfUnity.from_exponent(2 * omega(h, k).exponent - omega((2 * h) % k, k).exponent)
 
 
 # -- growth scale and series terms ----------------------------------------------
@@ -131,8 +125,7 @@ def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     """The growth scale pi sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    ctx = context(precision_bits)
-    return CertifiedInterval.from_ival(_mu_raw(ctx, n), precision_bits)
+    return CertifiedInterval.from_mpi(mu_mpi(n, check_precision(precision_bits)), precision_bits)
 
 
 def mu_mpi(n: int, prec: int):
@@ -140,18 +133,14 @@ def mu_mpi(n: int, prec: int):
     return mpi_mul(mpi_pi(prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
 
 
-def _mu_raw(ctx, n: int):
-    """:func:`mu_mpi` as a raw interval of ``ctx``."""
-    return ctx.make_mpf(mu_mpi(n, ctx.prec))
-
-
-def _term_derivative_raw(ctx, n: int, k: int):
+def _term_derivative_mpi(n: int, k: int, prec: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
     #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k)
-    mu_over_k = _mu_raw(ctx, n) / k
-    sqrt_n = ctx.sqrt(ctx.mpf(n))
-    cosh, sinh = cosh_sinh_raw(ctx, mu_over_k)
-    return (ctx.pi / (2 * k * n)) * cosh - sinh / (2 * n * sqrt_n)
+    mu_over_k = mpi_div(mu_mpi(n, prec), int_mpi(k, prec), prec)
+    sqrt_n = mpi_sqrt(int_mpi(n, prec), prec)
+    cosh, sinh = cosh_sinh_mpi(mu_over_k, prec)
+    first = mpi_mul(mpi_div(mpi_pi(prec), int_mpi(2 * k * n, prec), prec), cosh, prec)
+    return mpi_sub(first, mpi_div(sinh, mpi_mul(int_mpi(2 * n, prec), sqrt_n, prec), prec), prec)
 
 
 def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
@@ -162,8 +151,8 @@ def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    ctx = context(precision_bits)
-    return CertifiedInterval.from_ival(_term_derivative_raw(ctx, n, k), precision_bits)
+    prec = check_precision(precision_bits)
+    return CertifiedInterval.from_mpi(_term_derivative_mpi(n, k, prec), prec)
 
 
 @dataclass(frozen=True)
@@ -180,8 +169,7 @@ class SeriesParams:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.N < 1:
             raise ValueError(f"cutoff must be at least 1, got {self.N}")
-        if self.precision_bits < 2:
-            raise ValueError(f"precision_bits must be at least 2, got {self.precision_bits}")
+        check_precision(self.precision_bits)
 
 
 def _multiplier_exponents(n: int, k: int) -> Dict[Fraction, int]:
@@ -195,8 +183,8 @@ def _multiplier_exponents(n: int, k: int) -> Dict[Fraction, int]:
     return counts
 
 
-def _multiplier_sum_raw(ctx, n: int, k: int):
-    """A_k(n), which is real, as a raw interval.
+def _multiplier_sum_mpi(n: int, k: int, prec: int):
+    """A_k(n), which is real, as an endpoint tuple.
 
     Raises :class:`UndecidedRealError` unless every exponent e occurs as often
     as -e mod 2, checked exactly before any interval work.  Each pair then
@@ -206,12 +194,13 @@ def _multiplier_sum_raw(ctx, n: int, k: int):
     counts = _multiplier_exponents(n, k)
     if any(counts.get(-turns % 2) != c for turns, c in counts.items()):
         raise UndecidedRealError(f"exponents of A_{k}({n}) are not paired with their negatives")
-    real = ctx.mpf(0)
+    real = mpi_zero
     for turns in sorted(counts):
         mirror = -turns % 2
         if turns <= mirror:
             weight = counts[turns] if turns == mirror else 2 * counts[turns]
-            real += weight * cos_half_turns_raw(ctx, turns)
+            term = mpi_mul(int_mpi(weight, prec), cos_half_turns_mpi(turns, prec), prec)
+            real = mpi_add(real, term, prec)
     return real
 
 
@@ -222,28 +211,36 @@ def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
     exactly to be conjugate-symmetric, else :class:`UndecidedRealError` is
     raised rather than an imaginary part silently discarded.
     """
-    bits = params.precision_bits
-    ctx = context(bits)
-    total = ctx.mpf(0)
+    prec = params.precision_bits
+    total = mpi_zero
+    two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
     for k in range(1, params.N + 1, 2):
-        real = _multiplier_sum_raw(ctx, params.n, k)
-        deriv = _term_derivative_raw(ctx, params.n, k)
-        scale = ctx.sqrt(ctx.mpf(k)) / (2 * ctx.pi)
-        total += scale * real * deriv
-    return CertifiedInterval.from_ival(total, bits)
+        real = _multiplier_sum_mpi(params.n, k, prec)
+        deriv = _term_derivative_mpi(params.n, k, prec)
+        scale = mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
+        total = mpi_add(total, mpi_mul(mpi_mul(scale, real, prec), deriv, prec), prec)
+    return CertifiedInterval.from_mpi(total, prec)
+
+
+def _mu_and_exp(n: int, precision_bits: int):
+    """(prec, mu(n), e^mu(n)) for the closed forms below; validates n."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    prec = check_precision(precision_bits)
+    m = mu_mpi(n, prec)
+    return prec, m, mpi_exp(m, prec)
 
 
 def main_term(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     """Closed form of the k = 1 series term,
     (1/8n) [ (1 + 1/mu) e^{-mu} + (1 - 1/mu) e^{mu} ];
     equals the full truncated sum for any cutoff below 3."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
-    e = ctx.exp(m)
-    value = ((1 + 1 / m) / e + (1 - 1 / m) * e) / (8 * n)
-    return CertifiedInterval.from_ival(value, precision_bits)
+    prec, m, e = _mu_and_exp(n, precision_bits)
+    inverse = mpi_div(mpi_one, m, prec)
+    rising = mpi_div(mpi_add(mpi_one, inverse, prec), e, prec)
+    falling = mpi_mul(mpi_sub(mpi_one, inverse, prec), e, prec)
+    value = mpi_div(mpi_add(rising, falling, prec), int_mpi(8 * n, prec), prec)
+    return CertifiedInterval.from_mpi(value, prec)
 
 
 def truncation_error_bound(
@@ -261,63 +258,38 @@ def truncation_error_bound(
     at most j/(2(4j-3)) <= 1/2 times the 1/(2j+1)! of the sinh series."""
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
-    ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
-    arg = m / N
-    _, body = cosh_sinh_raw(ctx, arg)
+    prec = check_precision(precision_bits)
+    m = mu_mpi(n, prec)
+    arg = mpi_div(m, int_mpi(N, prec), prec)
+    _, body = cosh_sinh_mpi(arg, prec)
     if tightened:
-        body -= arg
-    value = ctx.sqrt(ctx.mpf(N)) * N * N * body / (n * m)
-    return CertifiedInterval.from_ival(value, precision_bits)
-
-
-def coarse_exp_form(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[CertifiedInterval, CertifiedInterval]:
-    """Looser leading-form decomposition pbar(n) = a(n) e^mu + E:
-    returns (a(n), bound) with a(n) = (1 - 1/mu)/(8n) and
-    bound = 5 e^{mu/3} / (2 n^{3/2}).
-
-    Empirically the bound only holds up to n in the low hundreds (the series'
-    second multiplier term eventually outgrows it), so callers assert the
-    sandwich on bounded ranges only; see the verifier suite.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
-    alpha = (1 - 1 / m) / (8 * n)
-    bound = 5 * ctx.exp(m / 3) / (2 * n * ctx.sqrt(ctx.mpf(n)))
-    bits = precision_bits
-    return CertifiedInterval.from_ival(alpha, bits), CertifiedInterval.from_ival(bound, bits)
+        body = mpi_sub(body, arg, prec)
+    big_n = int_mpi(N, prec)
+    factor = mpi_mul(mpi_mul(mpi_sqrt(big_n, prec), big_n, prec), big_n, prec)
+    value = mpi_div(mpi_mul(factor, body, prec), mpi_mul(int_mpi(n, prec), m, prec), prec)
+    return CertifiedInterval.from_mpi(value, prec)
 
 
 def simple_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[CertifiedInterval, CertifiedInterval]:
     """Two-sided exponential bounds:
     lower (1 - 2/mu) e^mu / 8n (valid from n = 4 on),
     upper (1 + 1/n) e^mu / 8n (valid from n = 1 on)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
-    e_over_8n = ctx.exp(m) / (8 * n)
-    lower = (1 - 2 / m) * e_over_8n
-    upper = e_over_8n * (ctx.mpf(n + 1) / n)
-    bits = precision_bits
-    return CertifiedInterval.from_ival(lower, bits), CertifiedInterval.from_ival(upper, bits)
+    prec, m, e = _mu_and_exp(n, precision_bits)
+    e_over_8n = mpi_div(e, int_mpi(8 * n, prec), prec)
+    lower = mpi_mul(mpi_sub(mpi_one, mpi_div(int_mpi(2, prec), m, prec), prec), e_over_8n, prec)
+    upper = mpi_mul(e_over_8n, mpi_div(int_mpi(n + 1, prec), int_mpi(n, prec), prec), prec)
+    return CertifiedInterval.from_mpi(lower, prec), CertifiedInterval.from_mpi(upper, prec)
 
 
 def refined_bounds(n: int, precision_bits: int = DEFAULT_BITS) -> Tuple[CertifiedInterval, CertifiedInterval]:
     """The mu^{-5}-window pair around the leading form,
     e^mu/8n * (1 - 1/mu -+ 1/mu^5); brackets pbar(n) for n >= 55 (certified
     over finite ranges by the verifier suite, not assumed)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    ctx = context(precision_bits)
-    m = _mu_raw(ctx, n)
-    e_over_8n = ctx.exp(m) / (8 * n)
-    core = 1 - 1 / m
-    window = 1 / m ** 5
-    bits = precision_bits
+    prec, m, e = _mu_and_exp(n, precision_bits)
+    e_over_8n = mpi_div(e, int_mpi(8 * n, prec), prec)
+    core = mpi_sub(mpi_one, mpi_div(mpi_one, m, prec), prec)
+    window = mpi_div(mpi_one, mpi_pow_int(m, 5, prec), prec)
     return (
-        CertifiedInterval.from_ival(e_over_8n * (core - window), bits),
-        CertifiedInterval.from_ival(e_over_8n * (core + window), bits),
+        CertifiedInterval.from_mpi(mpi_mul(e_over_8n, mpi_sub(core, window, prec), prec), prec),
+        CertifiedInterval.from_mpi(mpi_mul(e_over_8n, mpi_add(core, window, prec), prec), prec),
     )

@@ -173,7 +173,7 @@ def cmd_approx(args) -> int:
           f"  (cutoff {args.terms}, {args.bits} bits)")
     print(f"error bound <= {directed_decimal(bound.hi_fraction(), 12, round_up=True)}")
     print(f"exact = {exact}")
-    within = deviation <= bound.hi_fraction()
+    within = deviation <= bound.hi_fraction() + trunc.width_fraction()
     print(f"|exact - midpoint| = {directed_decimal(deviation, 12, round_up=True)}"
           f"  within bound: {'yes' if within else 'NO'}")
     return EXIT_OK

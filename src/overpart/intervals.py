@@ -1,20 +1,18 @@
 """Outward-rounded interval arithmetic, the carrier for every inexact value.
 
 Every transcendental quantity in this package (exponentials, square roots,
-trigonometric values at rational multiples of pi) is produced as a
-:class:`CertifiedInterval`: a closed interval ``[lo, hi]`` of
-arbitrary-precision binary floats with the soundness contract that the exact
-mathematical target lies inside.  The directed rounding itself is delegated to
-mpmath, which rounds outward at every elementary step, so any sign read off an
-interval endpoint is a certificate rather than an estimate.
+trigonometric values at rational multiples of pi) is computed on raw
+``libmpi`` endpoint tuples ``(lo, hi)`` of mpf values: ``int_mpi`` and
+``rational_mpi`` enter integers and rationals rounded outward, and
+``mpmath.libmp.mpi_*`` rounds outward at every elementary step, so any sign
+read off an endpoint is a certificate rather than an estimate.  A public
+result is a :class:`CertifiedInterval`, an immutable ``[lo, hi]`` with the
+soundness contract that the exact mathematical target lies inside; it has
+exact predicates and ``Fraction`` views, and no arithmetic.  The tests keep
+each formula's form on mpmath's interval context as a bit-for-bit oracle.
 
-Two carriers share that rounding.  The hot interval kernels (the envelope, Q
-and the verifiers' gaps) run on raw ``libmpi`` endpoint tuples ``(lo, hi)`` of
-mpf values: ``int_mpi`` and ``rational_mpi`` enter integers and rationals
-rounded outward, and ``mpmath.libmp.mpi_*`` does the arithmetic without the
-interval context's wrapper objects.  Everything else still runs on mpmath's
-interval context (``context(bits)``).  The tests keep the context form of every
-tuple kernel as a bit-for-bit oracle.
+libmpi accepts any precision, and below 2 bits it can loop without end, so
+every public entry checks its precision with :func:`check_precision` first.
 
 Sign queries follow an adaptive ladder: evaluate at a starting precision
 (128 bits by default), double until the interval separates from zero, and
@@ -27,32 +25,27 @@ weaken a certificate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Tuple, TypeVar, Union
 
 from mpmath import mp
-from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor
-from mpmath.libmp.libmpi import mpi_div
+from mpmath.libmp.libmpi import (
+    mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_one, mpi_pi, mpi_sub)
 
 DEFAULT_BITS = 128
 MAX_BITS = 8192
 
 Rational = Union[int, Fraction]
-Operand = Union[int, Fraction, "CertifiedInterval"]
 T = TypeVar("T")
 
 
-@lru_cache(maxsize=None)
-def context(bits: int) -> MPIntervalContext:
-    """Interval context at a fixed mantissa size.  Cached; never mutated after
-    creation."""
+def check_precision(bits: int) -> int:
+    """``bits`` when it is a usable working precision, else ValueError."""
     if bits < 2:
         raise ValueError(f"precision must be at least 2 bits, got {bits}")
-    ctx = MPIntervalContext()
-    ctx.prec = bits
-    return ctx
+    return bits
 
 
 def int_mpi(value: int, prec: int):
@@ -66,11 +59,6 @@ def rational_mpi(value: Rational, prec: int):
     numerator over denominator, rounded outward."""
     value = Fraction(value)
     return mpi_div(int_mpi(value.numerator, prec), int_mpi(value.denominator, prec), prec)
-
-
-def rational_raw(ctx, value: Rational):
-    """:func:`rational_mpi` as a raw interval of ``ctx``."""
-    return ctx.make_mpf(rational_mpi(value, ctx.prec))
 
 
 def raw_to_fraction(raw) -> Fraction:
@@ -91,29 +79,26 @@ def mpf_to_fraction(x) -> Fraction:
     return raw_to_fraction(x._mpf_)
 
 
+@dataclass(frozen=True)
 class CertifiedInterval:
-    """Closed interval ``[lo, hi]`` guaranteed to contain its exact target.
-
-    ``precision_bits`` records the working precision the interval was produced
-    at; arithmetic between intervals runs at the larger of the two operands'
-    precisions and rounds outward, so results stay sound regardless of how
-    operands were built.
-    """
+    """Closed interval ``[lo, hi]`` of mpf endpoints guaranteed to contain its
+    exact target; ``precision_bits`` records the working precision it was
+    produced at.  An immutable value: it is built from an endpoint tuple or
+    from exact rationals, and read through exact predicates and ``Fraction``
+    views."""
 
     __slots__ = ("lo", "hi", "precision_bits")
 
-    def __init__(self, lo, hi, precision_bits: int):
-        if not lo <= hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-        self.precision_bits = precision_bits
+    lo: object
+    hi: object
+    precision_bits: int
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+        check_precision(self.precision_bits)  # kernels given an interval compute at its bits
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_ival(cls, ival, bits: int) -> "CertifiedInterval":
-        return cls.from_mpi(ival._mpi_, bits)
 
     @classmethod
     def from_mpi(cls, endpoints, bits: int) -> "CertifiedInterval":
@@ -122,12 +107,8 @@ class CertifiedInterval:
         return cls(mp.make_mpf(lo), mp.make_mpf(hi), bits)
 
     @classmethod
-    def from_int(cls, value: int, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
-        return cls.from_ival(context(bits).mpf(value), bits)
-
-    @classmethod
     def from_fraction(cls, value: Rational, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
-        return cls.from_ival(rational_raw(context(bits), value), bits)
+        return cls.from_mpi(rational_mpi(value, check_precision(bits)), bits)
 
     @classmethod
     def from_pair(cls, lo: Rational, hi: Rational, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
@@ -136,17 +117,7 @@ class CertifiedInterval:
         b = cls.from_fraction(hi, bits)
         return cls(a.lo, b.hi, bits)
 
-    @classmethod
-    def pi(cls, bits: int = DEFAULT_BITS) -> "CertifiedInterval":
-        return cls.from_ival(context(bits).pi, bits)
-
     # -- conversions -------------------------------------------------------
-
-    def ival(self, ctx=None):
-        """The mpmath interval object (in ``ctx``, outward if coarser)."""
-        if ctx is None:
-            ctx = context(self.precision_bits)
-        return ctx.mpf([self.lo, self.hi])
 
     @property
     def mpi(self):
@@ -192,66 +163,6 @@ class CertifiedInterval:
     def intersects(self, other: "CertifiedInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other: Operand, ctx):
-        if isinstance(other, CertifiedInterval):
-            return other.ival(ctx)
-        if isinstance(other, (int, Fraction)):
-            return rational_raw(ctx, other)
-        return NotImplemented
-
-    def _binary(self, other: Operand, op: str, reflected: bool = False):
-        bits = self.precision_bits
-        if isinstance(other, CertifiedInterval):
-            bits = max(bits, other.precision_bits)
-        ctx = context(bits)
-        rhs = self._coerce(other, ctx)
-        if rhs is NotImplemented:
-            return NotImplemented
-        lhs = self.ival(ctx)
-        if reflected:
-            lhs, rhs = rhs, lhs
-        if op == "add":
-            out = lhs + rhs
-        elif op == "sub":
-            out = lhs - rhs
-        elif op == "mul":
-            out = lhs * rhs
-        else:
-            out = lhs / rhs
-        return CertifiedInterval.from_ival(out, bits)
-
-    def __add__(self, other: Operand):
-        return self._binary(other, "add")
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Operand):
-        return self._binary(other, "sub")
-
-    def __rsub__(self, other: Operand):
-        return self._binary(other, "sub", reflected=True)
-
-    def __mul__(self, other: Operand):
-        return self._binary(other, "mul")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Operand):
-        return self._binary(other, "div")
-
-    def __rtruediv__(self, other: Operand):
-        return self._binary(other, "div", reflected=True)
-
-    def __neg__(self):
-        return CertifiedInterval.from_ival(-self.ival(), self.precision_bits)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return CertifiedInterval.from_ival(self.ival() ** exponent, self.precision_bits)
-
     def __repr__(self) -> str:
         return (f"CertifiedInterval({mp.nstr(self.lo, 12)} .. {mp.nstr(self.hi, 12)},"
                 f" bits={self.precision_bits})")
@@ -259,42 +170,29 @@ class CertifiedInterval:
 
 # -- elementary functions ---------------------------------------------------
 
-
-def _unary(x: CertifiedInterval, fn: str) -> CertifiedInterval:
-    ctx = context(x.precision_bits)
-    return CertifiedInterval.from_ival(getattr(ctx, fn)(x.ival(ctx)), x.precision_bits)
+_TWO = int_mpi(2, 2)
 
 
-def sqrt(x: CertifiedInterval) -> CertifiedInterval:
-    return _unary(x, "sqrt")
-
-
-def exp(x: CertifiedInterval) -> CertifiedInterval:
-    return _unary(x, "exp")
-
-
-def log(x: CertifiedInterval) -> CertifiedInterval:
-    return _unary(x, "log")
-
-
-def cosh_sinh_raw(ctx, x):
-    """(cosh x, sinh x) on a raw mpmath interval, both composed from one
+def cosh_sinh_mpi(x, prec: int):
+    """(cosh x, sinh x) of an endpoint tuple, both composed from one
     exponential; rounds outward."""
-    e = ctx.exp(x)
-    inverse = 1 / e
-    return (e + inverse) / 2, (e - inverse) / 2
+    e = mpi_exp(x, prec)
+    inverse = mpi_div(mpi_one, e, prec)
+    return (mpi_div(mpi_add(e, inverse, prec), _TWO, prec),
+            mpi_div(mpi_sub(e, inverse, prec), _TWO, prec))
 
 
-def cos_half_turns_raw(ctx, turns: Fraction):
-    """cos(pi * turns) on the raw context, exact at quarter-turn points."""
+def cos_half_turns_mpi(turns: Fraction, prec: int):
+    """cos(pi * turns) as an endpoint tuple, exact at quarter-turn points."""
     turns = turns % 2
     if turns == 0:
-        return ctx.mpf(1)
+        return mpi_one
     if turns == 1:
-        return ctx.mpf(-1)
+        return int_mpi(-1, prec)
     if turns.denominator == 2:  # turns in {1/2, 3/2}
-        return ctx.mpf(0)
-    return ctx.cos(ctx.pi * turns.numerator / turns.denominator)
+        return int_mpi(0, prec)
+    angle = mpi_mul(mpi_pi(prec), int_mpi(turns.numerator, prec), prec)
+    return mpi_cos(mpi_div(angle, int_mpi(turns.denominator, prec), prec), prec)
 
 
 # -- adaptive sign resolution -------------------------------------------------

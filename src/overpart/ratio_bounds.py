@@ -25,12 +25,11 @@ Each of these interval formulas is written once, here.  With the window
 and Q(u_n) - lower(n) - window (f_vs_q_gaps_raw); the verifiers certify their
 signs over finite ranges instead of assuming them.
 
-The envelope, window, Q and P, and the gap kernels run on outward-rounded
-``libmpi`` endpoint tuples, not on mpmath's interval context, and take the
-mu data a sweep shares from a :class:`KernelData`.  Each keeps the operation
-order of its context formula, which the tests keep as a bit-for-bit oracle, so
-the enclosures are the ones the context would give.  The truncated
-exponentials still run on the context.
+Every interval formula here runs on outward-rounded ``libmpi`` endpoint
+tuples; the gap kernels take the mu data a sweep shares from a
+:class:`KernelData`.  Each keeps the operation order of its interval-context
+form, which the tests keep as a bit-for-bit oracle, so the enclosures are the
+ones the context would give.
 
 The cubic with coefficients binom(3,j) pbar(n+j) is hyperbolic (all roots
 real) exactly when its discriminant is nonnegative; the discriminant is an
@@ -57,7 +56,7 @@ from mpmath.libmp.libmpi import (
 )
 
 from .exact_core import OverpartitionTable
-from .intervals import DEFAULT_BITS, CertifiedInterval, context, int_mpi, rational_mpi, rational_raw
+from .intervals import DEFAULT_BITS, CertifiedInterval, check_precision, int_mpi, rational_mpi
 from .asymptotics import mu_mpi
 
 
@@ -186,8 +185,7 @@ def f_vs_q_gaps_raw(data: KernelData, n: int, u: Fraction):
 def _envelope_at(n: int, precision_bits: int, signed: int) -> CertifiedInterval:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    context(precision_bits)  # validates the precision
-    triple = KernelData(precision_bits).triple(n)
+    triple = KernelData(check_precision(precision_bits)).triple(n)
     return CertifiedInterval.from_mpi(_envelope(precision_bits, triple, signed), precision_bits)
 
 
@@ -251,8 +249,7 @@ def turan_quadratic_roots(
         raise DomainError("u = 1 gives a double root; no open positivity window")
     if not 0 < value < 1:
         raise DomainError(f"u must lie in (0, 1), got {value}")
-    context(precision_bits)  # validates the precision
-    ui = rational_mpi(value, precision_bits)
+    ui = rational_mpi(value, check_precision(precision_bits))
     lower, upper = (CertifiedInterval.from_mpi(_q(precision_bits, ui, sign), precision_bits)
                     for sign in (-1, +1))
     if not lower.hi < upper.lo:
@@ -278,12 +275,11 @@ LOWER_TAYLOR_COEFFS: Tuple[Fraction, ...] = tuple(
 def _trunc_exp(t: CertifiedInterval, coeffs: Tuple[Fraction, ...]) -> CertifiedInterval:
     if not t.hi < 0:
         raise DomainError(f"bounding property needs t < 0 throughout, got {t!r}")
-    ctx = context(t.precision_bits)
-    ti = t.ival(ctx)
-    acc = rational_raw(ctx, coeffs[-1])
+    prec, ti = t.precision_bits, t.mpi
+    acc = rational_mpi(coeffs[-1], prec)
     for c in reversed(coeffs[:-1]):
-        acc = acc * ti + rational_raw(ctx, c)
-    return CertifiedInterval.from_ival(acc, t.precision_bits)
+        acc = mpi_add(mpi_mul(acc, ti, prec), rational_mpi(c, prec), prec)
+    return CertifiedInterval.from_mpi(acc, prec)
 
 
 def trunc_exp_upper(t: CertifiedInterval) -> CertifiedInterval:

@@ -16,9 +16,10 @@ the table it needs, its subjects and its per-subject evaluator.
 subjects in index order.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
-:mod:`overpart.ratio_bounds`) compute on outward-rounded ``libmpi`` endpoint
-tuples, and signs are read straight off those endpoints; the tests keep each
-formula's interval-context form as a bit-for-bit oracle.  A sweep gets one
+:mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
+outward-rounded ``libmpi`` endpoint tuples, and signs are read straight off
+those endpoints; the tests keep each formula's interval-context form as a
+bit-for-bit oracle.  A sweep gets one
 :class:`~overpart.ratio_bounds.KernelData` per precision rung, which shares mu
 data between neighbouring subjects and is dropped when :func:`run_check`
 returns.  A rung at which an enclosure leaves a square root's domain is read
@@ -35,18 +36,27 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from mpmath import mp
 from mpmath.libmp import ComplexResult, mpf_sign
-from mpmath.libmp.libmpi import mpi_add, mpi_mul, mpi_pi, mpi_sqrt
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_one,
+    mpi_pi,
+    mpi_sqrt,
+    mpi_sub,
+)
 
 from .exact_core import OverpartitionTable
 from .intervals import (
     DEFAULT_BITS,
     CertifiedInterval,
     certify_sign,
-    context,
+    check_precision,
     directed_decimal,
     int_mpi,
     precision_ladder,
-    rational_raw,
+    rational_mpi,
     raw_to_fraction,
     render_endpoint,
 )
@@ -479,14 +489,20 @@ def pair_threshold_gap(a: int, lam: Fraction, precision_bits: int = DEFAULT_BITS
         raise ValueError(f"a must be at least 2, got {a}")
     if lam < 1:
         raise ValueError(f"lambda must be at least 1, got {lam}")
-    ctx = context(precision_bits)
-    lam_a = rational_raw(ctx, lam * a)
-    sqrt_a = ctx.sqrt(ctx.mpf(a))
-    sqrt_lam_a = ctx.sqrt(lam_a)
-    t_val = ctx.pi * (sqrt_a + sqrt_lam_a - ctx.sqrt(a + lam_a))
-    s_val = (1 + 1 / (a + lam_a)) / ((1 - 1 / sqrt_a) * (1 - 1 / sqrt_lam_a))
-    gap = t_val - ctx.log(ctx.mpf(4 * a)) - ctx.log(s_val)
-    return CertifiedInterval.from_ival(gap, precision_bits)
+    prec = check_precision(precision_bits)
+    a_mpi = int_mpi(a, prec)
+    lam_a = rational_mpi(lam * a, prec)
+    sqrt_a = mpi_sqrt(a_mpi, prec)
+    sqrt_lam_a = mpi_sqrt(lam_a, prec)
+    a_plus_lam_a = mpi_add(a_mpi, lam_a, prec)
+    root_sum = mpi_sub(mpi_add(sqrt_a, sqrt_lam_a, prec), mpi_sqrt(a_plus_lam_a, prec), prec)
+    t_val = mpi_mul(mpi_pi(prec), root_sum, prec)
+    s_num = mpi_add(mpi_one, mpi_div(mpi_one, a_plus_lam_a, prec), prec)
+    s_den = mpi_mul(mpi_sub(mpi_one, mpi_div(mpi_one, sqrt_a, prec), prec),
+                    mpi_sub(mpi_one, mpi_div(mpi_one, sqrt_lam_a, prec), prec), prec)
+    log_4a = mpi_log(int_mpi(4 * a, prec), prec)
+    gap = mpi_sub(mpi_sub(t_val, log_4a, prec), mpi_log(mpi_div(s_num, s_den, prec), prec), prec)
+    return CertifiedInterval.from_mpi(gap, prec)
 
 
 def _threshold_sign(a: int, lam: Fraction) -> int:

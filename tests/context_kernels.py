@@ -1,18 +1,61 @@
-"""The interval kernels written on mpmath's interval context: the oracle.
+"""The package's interval formulas written on mpmath's interval context: the oracle.
 
-``overpart.ratio_bounds`` and the ``delta2-log`` evaluator in
-``overpart.verifiers`` run these formulas on raw ``libmpi`` endpoint tuples.
-Here each one is written once more, as it reads on the interval context, in
-the same operation order; ``tests/test_kernel_oracle.py`` requires the tuple
-kernels to give the same endpoints bit for bit.  Nothing here calls the
+``overpart`` computes every interval formula on raw ``libmpi`` endpoint
+tuples.  Here each one is written once more, as it reads on the interval
+context, in the same operation order; ``tests/test_kernel_oracle.py`` requires
+the package to give the same endpoints bit for bit.  Nothing here calls the
 package's tuple helpers, so a change to either side, or to mpmath's ``libmpi``
 layer underneath, shows up as a difference.
+
+The context also gives the tests their interval arithmetic: :func:`ival`
+lifts a ``CertifiedInterval`` into the context at its precision, where
+mpmath's operators and functions apply, and :func:`interval` brings a result
+back.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+
+from mpmath.ctx_iv import MPIntervalContext
 
 from overpart import CertifiedInterval
-from overpart.intervals import context
+from overpart.asymptotics import _multiplier_exponents
+
+
+@lru_cache(maxsize=None)
+def context(bits):
+    """Interval context at a fixed mantissa size; never mutated after
+    creation."""
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
+
+
+def ival(x: CertifiedInterval, ctx=None):
+    """``x`` as a value of ``ctx`` (by default the context at its precision)."""
+    return (ctx or context(x.precision_bits)).make_mpf(x.mpi)
+
+
+def interval(value, bits) -> CertifiedInterval:
+    """A value of the interval context as a ``CertifiedInterval``."""
+    return CertifiedInterval.from_mpi(value._mpi_, bits)
+
+
+def _unary(x: CertifiedInterval, fn: str) -> CertifiedInterval:
+    ctx = context(x.precision_bits)
+    return interval(getattr(ctx, fn)(ival(x, ctx)), x.precision_bits)
+
+
+def sqrt(x: CertifiedInterval) -> CertifiedInterval:
+    return _unary(x, "sqrt")
+
+
+def exp(x: CertifiedInterval) -> CertifiedInterval:
+    return _unary(x, "exp")
+
+
+def log(x: CertifiedInterval) -> CertifiedInterval:
+    return _unary(x, "log")
 
 
 def rational(ctx, value):
@@ -22,6 +65,102 @@ def rational(ctx, value):
 
 def mu(ctx, n):
     return ctx.pi * ctx.sqrt(ctx.mpf(n))
+
+
+def cosh_sinh(ctx, x):
+    e = ctx.exp(x)
+    inverse = 1 / e
+    return (e + inverse) / 2, (e - inverse) / 2
+
+
+def cos_half_turns(ctx, turns):
+    turns = turns % 2
+    if turns == 0:
+        return ctx.mpf(1)
+    if turns == 1:
+        return ctx.mpf(-1)
+    if turns.denominator == 2:
+        return ctx.mpf(0)
+    return ctx.cos(ctx.pi * turns.numerator / turns.denominator)
+
+
+# -- the series and its bounds ------------------------------------------------------
+
+
+def term_derivative(ctx, n, k):
+    mu_over_k = mu(ctx, n) / k
+    sqrt_n = ctx.sqrt(ctx.mpf(n))
+    cosh, sinh = cosh_sinh(ctx, mu_over_k)
+    return (ctx.pi / (2 * k * n)) * cosh - sinh / (2 * n * sqrt_n)
+
+
+def multiplier_sum(ctx, n, k):
+    counts = _multiplier_exponents(n, k)
+    real = ctx.mpf(0)
+    for turns in sorted(counts):
+        mirror = -turns % 2
+        if turns <= mirror:
+            weight = counts[turns] if turns == mirror else 2 * counts[turns]
+            real += weight * cos_half_turns(ctx, turns)
+    return real
+
+
+def truncation(ctx, n, N):
+    total = ctx.mpf(0)
+    for k in range(1, N + 1, 2):
+        real = multiplier_sum(ctx, n, k)
+        deriv = term_derivative(ctx, n, k)
+        scale = ctx.sqrt(ctx.mpf(k)) / (2 * ctx.pi)
+        total += scale * real * deriv
+    return total
+
+
+def main_term(ctx, n):
+    m = mu(ctx, n)
+    e = ctx.exp(m)
+    return ((1 + 1 / m) / e + (1 - 1 / m) * e) / (8 * n)
+
+
+def truncation_error_bound(ctx, n, N, tightened):
+    m = mu(ctx, n)
+    arg = m / N
+    _, body = cosh_sinh(ctx, arg)
+    if tightened:
+        body -= arg
+    return ctx.sqrt(ctx.mpf(N)) * N * N * body / (n * m)
+
+
+def simple_bounds(ctx, n):
+    m = mu(ctx, n)
+    e_over_8n = ctx.exp(m) / (8 * n)
+    return (1 - 2 / m) * e_over_8n, e_over_8n * (ctx.mpf(n + 1) / n)
+
+
+def refined_bounds(ctx, n):
+    m = mu(ctx, n)
+    e_over_8n = ctx.exp(m) / (8 * n)
+    core = 1 - 1 / m
+    window = 1 / m ** 5
+    return e_over_8n * (core - window), e_over_8n * (core + window)
+
+
+def pair_threshold_gap(ctx, a, lam):
+    lam_a = rational(ctx, lam * a)
+    sqrt_a = ctx.sqrt(ctx.mpf(a))
+    sqrt_lam_a = ctx.sqrt(lam_a)
+    t_val = ctx.pi * (sqrt_a + sqrt_lam_a - ctx.sqrt(a + lam_a))
+    s_val = (1 + 1 / (a + lam_a)) / ((1 - 1 / sqrt_a) * (1 - 1 / sqrt_lam_a))
+    return t_val - ctx.log(ctx.mpf(4 * a)) - ctx.log(s_val)
+
+
+def trunc_exp(ctx, t, coeffs):
+    acc = rational(ctx, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + rational(ctx, c)
+    return acc
+
+
+# -- the envelope, Q and the four checks' gaps ---------------------------------------
 
 
 def envelope(ctx, x, y, z, signed):
@@ -37,9 +176,6 @@ def window(x):
 
 def q(ctx, t, sign):
     return (3 * t + sign * 2 * ctx.sqrt((1 - t) ** 3) - 2) / t ** 2
-
-
-# -- the four checks' gaps ---------------------------------------------------------
 
 
 def delta2_log_gaps(ctx, n, outer, square):
@@ -69,17 +205,17 @@ def f_vs_q_gaps(ctx, n, u):
 def ratio_bound(n, bits, signed):
     ctx = context(bits)
     x, y, z = (mu(ctx, m) for m in range(n - 1, n + 2))
-    return CertifiedInterval.from_ival(envelope(ctx, x, y, z, signed), bits)
+    return interval(envelope(ctx, x, y, z, signed), bits)
 
 
 def quadratic_upper_root(t: CertifiedInterval, minus_t=False):
     ctx = context(t.precision_bits)
-    ti = t.ival(ctx)
+    ti = ival(t, ctx)
     value = q(ctx, ti, +1)
-    return CertifiedInterval.from_ival(value - ti if minus_t else value, t.precision_bits)
+    return interval(value - ti if minus_t else value, t.precision_bits)
 
 
 def turan_quadratic_roots(u, bits):
     ctx = context(bits)
     ui = rational(ctx, u)
-    return tuple(CertifiedInterval.from_ival(q(ctx, ui, sign), bits) for sign in (-1, +1))
+    return tuple(interval(q(ctx, ui, sign), bits) for sign in (-1, +1))

@@ -5,11 +5,11 @@ from math import gcd
 import pytest
 from mpmath import mp
 
+import context_kernels as oracle
 from overpart import (
     CertifiedInterval,
     RootOfUnity,
     SeriesParams,
-    coarse_exp_form,
     main_term,
     mu,
     omega,
@@ -73,13 +73,16 @@ def test_omega_conjugate_pairing():
 
 
 def test_root_of_unity_arithmetic():
-    a = RootOfUnity.from_exponent(Fraction(3, 4))
-    b = RootOfUnity.from_exponent(Fraction(3, 2))
-    assert (a * b).exponent == Fraction(1, 4)
-    assert (a / b).exponent == Fraction(-3, 4) % 2
-    assert (a ** 3).exponent == Fraction(9, 4) % 2
-    assert a.conjugate().exponent == Fraction(5, 4)
-    assert a.real(64).contains(0) is False
+    # A root of unity is its exact exponent mod 2, and the multiplier's
+    # exponent is 2 s(h,k) - s(2h mod k, k) mod 2 in exact rationals.
+    a = RootOfUnity.from_exponent(Fraction(-5, 4))
+    assert a == RootOfUnity(3, 4) and a.exponent == Fraction(3, 4)
+    assert RootOfUnity.from_exponent(Fraction(9, 4)).exponent == Fraction(1, 4)
+    for k in range(1, 26, 2):
+        for h in range(k):
+            if gcd(h, k) == 1:
+                expected = (2 * sawtooth_oracle(h, k) - sawtooth_oracle(2 * h % k, k)) % 2
+                assert series_multiplier(h, k).exponent == expected, (h, k)
 
 
 def test_series_multiplier_denominator_divides_2k2():
@@ -103,8 +106,9 @@ def test_multiplier_exponent_multiset_is_conjugate_symmetric():
 
 def test_mu_examples():
     # a 256-bit enclosure of the target nests inside the 128-bit answer
-    assert mu(1, 128).encloses(CertifiedInterval.pi(256))
-    assert mu(4, 128).encloses(CertifiedInterval.pi(256) * 2)
+    pi = oracle.context(256).pi
+    assert mu(1, 128).encloses(oracle.interval(pi, 256))
+    assert mu(4, 128).encloses(oracle.interval(pi * 2, 256))
     two = mu(2, 128)
     assert iv.directed_decimal(two.midpoint_fraction(), 25).startswith("4.442882938158366247")
 
@@ -204,27 +208,25 @@ def test_realness_check_is_exact_on_the_exponent_multiset(monkeypatch):
     from overpart import UndecidedRealError
     from overpart import asymptotics as asy
 
-    ctx = iv.context(128)
     monkeypatch.setattr(asy, "_multiplier_exponents",
                         lambda n, k: {Fraction(1, 7): 1, Fraction(13, 7): 1, Fraction(1): 3})
-    paired = CertifiedInterval.from_ival(asy._multiplier_sum_raw(ctx, 5, 3), 128)
+    paired = CertifiedInterval.from_mpi(asy._multiplier_sum_mpi(5, 3, 128), 128)
     mp_hi = mp.clone()
     mp_hi.prec = 300
     assert paired.lo < 2 * mp_hi.cos(mp_hi.pi / 7) - 3 < paired.hi
     monkeypatch.setattr(asy, "_multiplier_exponents",
                         lambda n, k: {Fraction(1, 10 ** 6): 2, Fraction(2 * 10 ** 6 - 1, 10 ** 6): 1})
     with pytest.raises(UndecidedRealError):
-        asy._multiplier_sum_raw(ctx, 5, 3)
+        asy._multiplier_sum_mpi(5, 3, 128)
 
 
 def test_multiplier_exponents_paired_for_every_residue():
     # A_k(n) depends on n only mod k: cover every residue for odd k <= 25.
     from overpart import asymptotics as asy
 
-    ctx = iv.context(64)
     for k in range(1, 26, 2):
         for n in range(k):
-            asy._multiplier_sum_raw(ctx, n, k)
+            asy._multiplier_sum_mpi(n, k, 64)
 
 
 def test_truncation_error_bound_examples():
@@ -246,8 +248,9 @@ def test_tightened_gap_is_linear_term():
     # plain - tightened = N^{3/2}/n exactly; at n = 9, N = 3 that is 3^{3/2}/9.
     plain = truncation_error_bound(9, 3, precision_bits=192)
     tight = truncation_error_bound(9, 3, tightened=True, precision_bits=192)
-    gap = plain - tight
-    explicit = iv.sqrt(CertifiedInterval.from_int(27, 192)) / 9
+    ctx = oracle.context(192)
+    gap = oracle.interval(oracle.ival(plain) - oracle.ival(tight), 192)
+    explicit = oracle.interval(ctx.sqrt(27) / 9, 192)
     assert gap.intersects(explicit)
 
 
@@ -273,38 +276,6 @@ def test_truncation_rounds_exactly_at_small_n(desk_table):
     for n in range(1, 61):
         t = rademacher_truncation(SeriesParams(n, 3, 256))
         assert t.nearest_int() == desk_table[n], n
-
-
-# -- coarse exponential form -----------------------------------------------------------
-
-
-def test_coarse_form_reference_quantities():
-    pi = CertifiedInterval.pi(160)
-    # (1 + pi) e^{-pi} / (8 pi) < 0.0072
-    g1 = (1 + pi) * iv.exp(-pi) / (8 * pi)
-    assert g1.hi_fraction() < Fraction(72, 10 ** 4)
-    # the comparison function's minimum, at 81/pi^2, exceeds 0.016
-    x0 = 81 / (pi * pi)
-    root = iv.sqrt(x0)
-    constant = Fraction(5, 2) - iv.sqrt(CertifiedInterval.from_int(243, 160)) / (2 * pi)
-    value = iv.exp(pi * root / 3) / (x0 * root) * constant
-    assert value.lo_fraction() > Fraction(16, 10 ** 3)
-
-
-def test_coarse_form_sandwich_small_range(desk_table):
-    # The advertised |pbar - a e^mu| <= bound holds on an initial segment only;
-    # certified true through n = 300 here, first certified violation at 440.
-    for n in list(range(1, 101)) + [150, 200, 250, 300, 55]:
-        alpha, bound = coarse_exp_form(n, 192)
-        diff = desk_table[n] - alpha * iv.exp(mu(n, 192))
-        assert (bound - diff).is_positive() and (diff + bound).is_positive(), n
-
-
-def test_coarse_form_first_violation_at_440(desk_table):
-    alpha, bound = coarse_exp_form(440, 256)
-    diff = desk_table[440] - alpha * iv.exp(mu(440, 256))
-    # |diff| certifiably exceeds the bound
-    assert (diff + bound).is_negative() or (diff - bound).is_positive()
 
 
 # -- simple and refined bounds ----------------------------------------------------------
@@ -346,15 +317,17 @@ def test_refined_bounds_certified_desk_range(desk_table):
 def test_growth_ratio_inequality_from_143():
     # e^{2 mu/15}/(2 mu/15) > (15/2) 34^{1/5} from n = 143 on; the threshold
     # 2 mu/15 = 5 is crossed between 142 and 143.
-    t142 = 2 * mu(142, 128) / 15
-    assert t142.hi_fraction() < 5
-    t143 = 2 * mu(143, 128) / 15
-    assert t143.lo_fraction() > 5
-    rhs = Fraction(15, 2) * iv.exp(iv.log(CertifiedInterval.from_int(34, 128)) / 5)
+    ctx = oracle.context(128)
+
+    def t_at(n):
+        return 2 * oracle.ival(mu(n, 128)) / 15
+
+    assert oracle.interval(t_at(142), 128).hi_fraction() < 5
+    assert oracle.interval(t_at(143), 128).lo_fraction() > 5
+    rhs = oracle.rational(ctx, Fraction(15, 2)) * ctx.exp(ctx.log(34) / 5)
     for n in (143, 144, 200, 1000, 2000, 31000):
-        t = 2 * mu(n, 128) / 15
-        lhs = iv.exp(t) / t
-        assert (lhs - rhs).is_positive(), n
+        t = t_at(n)
+        assert oracle.interval(ctx.exp(t) / t - rhs, 128).is_positive(), n
 
 
 def test_main_term_ratio_approaches_one(desk_table):

@@ -103,6 +103,16 @@ def test_approx_large_n_within_bound(capsys):
     assert "within bound: yes" in capsys.readouterr().out
 
 
+def test_approx_verdict_counts_the_truncation_width(capsys):
+    # At 8 bits the enclosure 9.24e6..1.48e7 contains pbar(50) = 10605564;
+    # |exact - midpoint| exceeds the error bound alone, not bound plus width.
+    assert run_cli("approx", "50", "--bits", "8") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "truncation = 9.2405760" in out and ".. 1.4811136" in out
+    assert "exact = 10605564" in out
+    assert "within bound: yes" in out
+
+
 def test_approx_undecided_real_exit(monkeypatch, capsys):
     from fractions import Fraction
 

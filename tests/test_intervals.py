@@ -5,20 +5,33 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_pi,
+    mpi_pow_int,
+    mpi_sqrt,
+    mpi_sub,
+)
 
+import overpart as op
 from overpart import CertifiedInterval, certify_sign
 from overpart import intervals as iv
 
 
 def test_big_int_conversion_straddles():
     big = 10 ** 60 + 7
-    ci = CertifiedInterval.from_int(big, 64)
+    ci = CertifiedInterval.from_fraction(big, 64)
     assert ci.lo_fraction() <= big <= ci.hi_fraction()
     assert ci.lo_fraction() != ci.hi_fraction()  # not representable at 64 bits
 
 
 def test_small_int_conversion_exact():
-    ci = CertifiedInterval.from_int(12, 64)
+    ci = CertifiedInterval.from_fraction(12, 64)
     assert ci.lo_fraction() == ci.hi_fraction() == 12
 
 
@@ -30,53 +43,56 @@ def test_fraction_containment():
 
 
 def test_arithmetic_soundness_randomized():
+    # The tuple arithmetic the package runs on, from outward-rounded rationals.
     rng = random.Random(42)
     for _ in range(100):
         a = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         b = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         c = Fraction(rng.randint(1, 999), rng.randint(1, 999))
         exact = (a + b) * c - a / c
-        ia = CertifiedInterval.from_fraction(a, 128)
-        ib = CertifiedInterval.from_fraction(b, 128)
-        ic = CertifiedInterval.from_fraction(c, 128)
-        result = (ia + ib) * ic - ia / ic
-        assert result.contains(exact)
+        ia, ib, ic = (iv.rational_mpi(v, 128) for v in (a, b, c))
+        result = mpi_sub(mpi_mul(mpi_add(ia, ib, 128), ic, 128), mpi_div(ia, ic, 128), 128)
+        assert CertifiedInterval.from_mpi(result, 128).contains(exact)
 
 
 def test_mixed_scalar_operands():
-    x = CertifiedInterval.from_int(10, 128)
-    assert (x + 1).contains(11)
-    assert (1 + x).contains(11)
-    assert (x * Fraction(1, 2)).contains(5)
-    assert (Fraction(1, 2) / x).contains(Fraction(1, 20))
-    assert (x - 3).contains(7)
-    assert (3 - x).contains(-7)
-    assert (-x).contains(-10)
-    assert (x ** 3).contains(1000)
+    # Integers and rationals enter the tuple arithmetic as int_mpi and rational_mpi.
+    x, half = iv.int_mpi(10, 128), iv.rational_mpi(Fraction(1, 2), 128)
+
+    def one(value):
+        return CertifiedInterval.from_mpi(value, 128)
+
+    assert one(mpi_add(x, iv.int_mpi(1, 128), 128)).contains(11)
+    assert one(mpi_add(iv.int_mpi(1, 128), x, 128)).contains(11)
+    assert one(mpi_mul(x, half, 128)).contains(5)
+    assert one(mpi_div(half, x, 128)).contains(Fraction(1, 20))
+    assert one(mpi_sub(x, iv.int_mpi(3, 128), 128)).contains(7)
+    assert one(mpi_sub(iv.int_mpi(3, 128), x, 128)).contains(-7)
+    assert one(mpi_neg(x)).contains(-10)
+    assert one(mpi_pow_int(x, 3, 128)).contains(1000)
 
 
-def _raw_unary(raw):
-    """Lift a raw-context kernel to CertifiedInterval -> CertifiedInterval."""
+def _lifted(kernel):
+    """A tuple kernel ``kernel(x, prec)`` as CertifiedInterval -> CertifiedInterval."""
     def lifted(x):
-        ctx = iv.context(x.precision_bits)
-        return CertifiedInterval.from_ival(raw(ctx, x.ival(ctx)), x.precision_bits)
+        return CertifiedInterval.from_mpi(kernel(x.mpi, x.precision_bits), x.precision_bits)
     return lifted
 
 
-def _cosh(ctx, x):
-    return iv.cosh_sinh_raw(ctx, x)[0]
+def _cosh(x, prec):
+    return iv.cosh_sinh_mpi(x, prec)[0]
 
 
-def _sinh(ctx, x):
-    return iv.cosh_sinh_raw(ctx, x)[1]
+def _sinh(x, prec):
+    return iv.cosh_sinh_mpi(x, prec)[1]
 
 
-def _half_turns(raw, turns, bits=128):
-    return CertifiedInterval.from_ival(raw(iv.context(bits), Fraction(turns)), bits)
+def _half_turns(turns, bits=128):
+    return CertifiedInterval.from_mpi(iv.cos_half_turns_mpi(Fraction(turns), bits), bits)
 
 
 def test_precision_doubling_nests():
-    fns = [iv.sqrt, iv.exp, iv.log, _raw_unary(_sinh), _raw_unary(_cosh)]
+    fns = [_lifted(f) for f in (mpi_sqrt, mpi_exp, mpi_log, _sinh, _cosh)]
     rng = random.Random(7)
     for _ in range(50):
         fn = rng.choice(fns)
@@ -94,28 +110,28 @@ def test_sinh_cosh_against_multiprecision():
     for value in (Fraction(1), Fraction(7, 2), Fraction(1, 10)):
         x = CertifiedInterval.from_fraction(value, 128)
         target = mp_hi.sinh(mp_hi.mpf(value.numerator) / value.denominator)
-        s = _raw_unary(_sinh)(x)
+        s = _lifted(_sinh)(x)
         assert s.lo < target < s.hi
         target = mp_hi.cosh(mp_hi.mpf(value.numerator) / value.denominator)
-        c = _raw_unary(_cosh)(x)
+        c = _lifted(_cosh)(x)
         assert c.lo < target < c.hi
 
 
 def test_half_turn_trig_exact_points():
     for turns, expected in ((0, 1), (1, -1), (Fraction(1, 2), 0), (Fraction(3, 2), 0)):
-        ci = _half_turns(iv.cos_half_turns_raw, turns)
+        ci = _half_turns(turns)
         assert ci.lo_fraction() == ci.hi_fraction() == expected
 
 
 def test_half_turn_trig_generic_value():
     # cos(pi/3) = 1/2 exactly
-    ci = _half_turns(iv.cos_half_turns_raw, Fraction(1, 3), 128)
+    ci = _half_turns(Fraction(1, 3), 128)
     assert ci.contains(Fraction(1, 2))
     assert ci.width_fraction() < Fraction(1, 2 ** 100)
 
 
 def test_pi_interval():
-    pi = CertifiedInterval.pi(128)
+    pi = CertifiedInterval.from_mpi(mpi_pi(128), 128)
     assert pi.contains(Fraction(355, 113)) is False  # strictly above pi
     assert pi.lo_fraction() < Fraction(355, 113)
     assert pi.contains(Fraction(314159, 100000)) is False
@@ -207,4 +223,42 @@ def test_interval_requires_order():
 def test_nearest_int():
     assert CertifiedInterval.from_fraction(Fraction(7, 2), 64).nearest_int() == 4
     assert CertifiedInterval.from_fraction(Fraction(-7, 2), 64).nearest_int() == -3
-    assert CertifiedInterval.from_int(3, 64).nearest_int() == 3
+    assert CertifiedInterval.from_fraction(3, 64).nearest_int() == 3
+
+
+def test_certified_interval_is_an_immutable_value_without_arithmetic():
+    x = CertifiedInterval.from_fraction(Fraction(1, 3), 64)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        assert not hasattr(x, name), name
+    with pytest.raises(AttributeError):
+        x.lo = x.hi
+    assert x == CertifiedInterval.from_fraction(Fraction(1, 3), 64)
+
+
+# Every public entry that computes an interval at a given precision.  libmpi
+# itself accepts any precision and can loop without end below 2 bits.
+PRECISION_ENTRIES = {
+    "mu": lambda bits: op.mu(5, bits),
+    "main_term": lambda bits: op.main_term(5, bits),
+    "series_term_derivative": lambda bits: op.series_term_derivative(5, 3, bits),
+    "truncation_error_bound": lambda bits: op.truncation_error_bound(5, 3, precision_bits=bits),
+    "simple_bounds": lambda bits: op.simple_bounds(5, bits),
+    "refined_bounds": lambda bits: op.refined_bounds(5, bits),
+    "SeriesParams": lambda bits: op.SeriesParams(5, 3, bits),
+    "ratio_lower_bound": lambda bits: op.ratio_lower_bound(5, bits),
+    "ratio_upper_bound": lambda bits: op.ratio_upper_bound(5, bits),
+    "turan_quadratic_roots": lambda bits: op.turan_quadratic_roots(Fraction(1, 2), bits),
+    "pair_threshold_gap": lambda bits: op.pair_threshold_gap(2, Fraction(2), bits),
+    "from_fraction": lambda bits: CertifiedInterval.from_fraction(Fraction(1, 3), bits),
+    # trunc_exp, quadratic_upper_root and diagonal_gap compute at the bits of
+    # the interval they are given (at 0 bits trunc_exp does not return).
+    "from_mpi": lambda bits: CertifiedInterval.from_mpi(iv.rational_mpi(Fraction(-1, 3), 53), bits),
+}
+
+
+@pytest.mark.parametrize("bits", (0, 1))
+@pytest.mark.parametrize("entry", sorted(PRECISION_ENTRIES))
+def test_public_entries_reject_precision_below_two_bits(entry, bits):
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        PRECISION_ENTRIES[entry](bits)

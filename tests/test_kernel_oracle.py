@@ -1,10 +1,10 @@
 """The tuple interval kernels against their context-form oracle, bit for bit.
 
-The kernels in ``overpart.ratio_bounds`` and the ``delta2-log`` evaluator run
-on raw ``libmpi`` endpoint tuples; ``context_kernels`` writes the same
-formulas on mpmath's interval context.  Equal endpoints at every sampled
-(n, bits) mean equal reports.  The comparison also catches drift in mpmath's
-internal ``libmpi`` layer, which ``mpmath>=1.3`` does not pin.
+Every interval formula in ``overpart`` runs on raw ``libmpi`` endpoint
+tuples; ``context_kernels`` writes the same formulas on mpmath's interval
+context.  Equal endpoints at every sampled (n, bits) mean equal reports.  The
+comparison also catches drift in mpmath's internal ``libmpi`` layer, which
+``mpmath>=1.3`` does not pin.
 """
 
 import random
@@ -15,15 +15,27 @@ import pytest
 import context_kernels as oracle
 from overpart import (
     CertifiedInterval,
+    SeriesParams,
     diagonal_gap,
+    main_term,
+    mu,
+    pair_threshold_gap,
     quadratic_upper_root,
+    rademacher_truncation,
     ratio_lower_bound,
     ratio_upper_bound,
+    refined_bounds,
+    series_term_derivative,
+    simple_bounds,
+    trunc_exp_lower,
+    trunc_exp_upper,
+    truncation_error_bound,
     turan_quadratic_roots,
     u_ratio,
 )
-from overpart.intervals import context
 from overpart.ratio_bounds import (
+    LOWER_TAYLOR_COEFFS,
+    UPPER_TAYLOR_COEFFS,
     KernelData,
     f_vs_q_gaps_raw,
     fg_sandwich_gaps_raw,
@@ -46,7 +58,7 @@ def endpoints(values):
 
 @pytest.mark.parametrize("bits", (24,) + BITS)  # 24: a low start rung as well
 def test_gap_kernels_match_the_context_oracle(desk_table, bits):
-    ctx = context(bits)
+    ctx = oracle.context(bits)
     data = KernelData(bits)  # one sweep, as run_check shares it
     delta2 = CHECKS["delta2-log"].evaluate
     for n in SAMPLED_N:
@@ -76,3 +88,51 @@ def test_public_wrappers_match_the_context_oracle(desk_table, bits):
         assert [r.mpi for r in roots] == [r.mpi for r in oracle.turan_quadratic_roots(u, bits)], n
     t = CertifiedInterval.from_pair(Fraction(1, 3), Fraction(1, 2), bits)  # a wide argument
     assert quadratic_upper_root(t).mpi == oracle.quadratic_upper_root(t).mpi
+
+
+# -- the series, its bounds, the truncated exponentials and the lambda gap ------------
+
+SERIES_BITS = (3, 24, 53, 128, 256, 512)
+# Small n, the cutoff-3 miss at 69, the acceptance edges 50 and 2000, seeded
+# samples and the table's top.
+SERIES_N = sorted({1, 2, 3, 5, 50, 69, 143, 2000, 30984,
+                   *random.Random(7).sample(range(6, 31000), 3)})
+CUTOFFS = (1, 3, 5, 15, 39)
+
+
+def mpis(values):
+    return [v._mpi_ for v in values]
+
+
+@pytest.mark.parametrize("bits", SERIES_BITS)
+def test_series_and_bounds_match_the_context_oracle(bits):
+    ctx = oracle.context(bits)
+    for n in SERIES_N:
+        assert mu(n, bits).mpi == oracle.mu(ctx, n)._mpi_, n
+        assert main_term(n, bits).mpi == oracle.main_term(ctx, n)._mpi_, n
+        assert [b.mpi for b in simple_bounds(n, bits)] == mpis(oracle.simple_bounds(ctx, n)), n
+        assert [b.mpi for b in refined_bounds(n, bits)] == mpis(oracle.refined_bounds(ctx, n)), n
+        for k in (1, 3, 7, 39):
+            assert (series_term_derivative(n, k, bits).mpi
+                    == oracle.term_derivative(ctx, n, k)._mpi_), (n, k)
+        for N in CUTOFFS:
+            for tightened in (False, True):
+                bound = truncation_error_bound(n, N, tightened=tightened, precision_bits=bits)
+                assert bound.mpi == oracle.truncation_error_bound(ctx, n, N, tightened)._mpi_, (n, N)
+        for N in CUTOFFS if n in (50, 2000) else CUTOFFS[:3]:
+            assert (rademacher_truncation(SeriesParams(n, N, bits)).mpi
+                    == oracle.truncation(ctx, n, N)._mpi_), (n, N)
+
+
+@pytest.mark.parametrize("bits", SERIES_BITS)
+def test_threshold_gap_and_truncated_exponentials_match_the_context_oracle(bits):
+    ctx = oracle.context(bits)
+    for a in (2, 3, 4, 5):
+        for lam in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(17, 5), Fraction(9)):
+            assert pair_threshold_gap(a, lam, bits).mpi == oracle.pair_threshold_gap(ctx, a, lam)._mpi_
+    samples = [Fraction(-1), Fraction(-1, 3), Fraction(-7, 2), Fraction(-1, 10 ** 9)]
+    for t in samples + [-Fraction(random.Random(bits).randint(1, 10 ** 4), 10 ** 3) for _ in range(8)]:
+        ti = CertifiedInterval.from_fraction(t, bits)
+        lifted = oracle.ival(ti, ctx)
+        assert trunc_exp_upper(ti).mpi == oracle.trunc_exp(ctx, lifted, UPPER_TAYLOR_COEFFS)._mpi_, t
+        assert trunc_exp_lower(ti).mpi == oracle.trunc_exp(ctx, lifted, LOWER_TAYLOR_COEFFS)._mpi_, t

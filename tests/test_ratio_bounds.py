@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import context_kernels as oracle
 import overpart
 from overpart import (
     CertifiedInterval,
@@ -34,6 +35,12 @@ from overpart.ratio_bounds import (
 )
 
 GOLDEN = Fraction(6180339887498949, 10 ** 16)  # approximately (sqrt(5)-1)/2
+
+
+def three_halves_power(t):
+    """(1 - t)^{3/2} of an interval, on the interval context."""
+    ctx = oracle.context(t.precision_bits)
+    return oracle.interval(ctx.sqrt((1 - oracle.ival(t, ctx)) ** 3), t.precision_bits)
 
 
 # -- exact ratio --------------------------------------------------------------------
@@ -163,7 +170,7 @@ def test_diagonal_gap_exceeds_three_halves_power_past_golden_ratio():
         t_fraction = GOLDEN + (1 - GOLDEN) * Fraction(k, 40)
         t = CertifiedInterval.from_fraction(t_fraction, 128)
         gap = diagonal_gap(t)
-        power = iv.sqrt((1 - t) ** 3)
+        power = three_halves_power(t)
         assert gap.lo > power.hi, t_fraction
 
 
@@ -171,7 +178,7 @@ def test_diagonal_gap_below_three_halves_power_before_golden_ratio():
     for k in range(1, 12):
         t = CertifiedInterval.from_fraction(Fraction(k, 20), 128)
         gap = diagonal_gap(t)
-        power = iv.sqrt((1 - t) ** 3)
+        power = three_halves_power(t)
         assert gap.hi < power.lo, k
 
 
@@ -215,7 +222,7 @@ def test_quadratic_roots_accept_ratio_value(desk_table):
 
 
 def test_trunc_exp_exact_values_at_minus_one():
-    t = CertifiedInterval.from_int(-1, 128)
+    t = CertifiedInterval.from_fraction(-1, 128)
     upper = trunc_exp_upper(t)
     assert upper.contains(Fraction(53, 144))
     assert upper.width_fraction() < Fraction(1, 2 ** 100)
@@ -225,8 +232,8 @@ def test_trunc_exp_exact_values_at_minus_one():
 
 
 def test_trunc_exp_brackets_exp_at_minus_one():
-    t = CertifiedInterval.from_int(-1, 128)
-    e = iv.exp(t)
+    t = CertifiedInterval.from_fraction(-1, 128)
+    e = oracle.exp(t)
     assert trunc_exp_upper(t).lo > e.hi
     assert trunc_exp_lower(t).hi < e.lo
 
@@ -236,7 +243,7 @@ def test_trunc_exp_sandwich_100_negative_samples():
     for _ in range(100):
         t_fraction = -Fraction(rng.randint(1, 10 ** 4), 10 ** 3)  # in [-10, -1e-3]
         t = CertifiedInterval.from_fraction(t_fraction, 128)
-        e = iv.exp(t)
+        e = oracle.exp(t)
         assert trunc_exp_upper(t).lo >= e.hi, t_fraction
         assert trunc_exp_lower(t).hi <= e.lo, t_fraction
 
@@ -248,7 +255,7 @@ def test_trunc_exp_limit_at_zero():
 
 
 def test_trunc_exp_domain_guard():
-    positive = CertifiedInterval.from_int(1, 128)
+    positive = CertifiedInterval.from_fraction(1, 128)
     with pytest.raises(DomainError):
         trunc_exp_upper(positive)
     with pytest.raises(DomainError):
@@ -358,4 +365,31 @@ def test_no_private_name_imported_from_a_sibling_module():
             if isinstance(node, ast.ImportFrom) and node.level:
                 offenders += [f"{path.name}: from .{node.module} import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_uses_the_interval_context():
+    # Every interval formula runs on libmpi endpoint tuples; mpmath's interval
+    # context is the tests' oracle only.
+    offenders = []
+    for path in sorted(Path(overpart.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                base = node.value.id if isinstance(node.value, ast.Name) else ""
+                names = [f"{base}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                names = ["context("] if called == "context" else []
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name.startswith("mpmath.ctx_iv") or name == "mpmath.iv"
+                          or name.endswith("MPIntervalContext") or name == "context("]
     assert offenders == []
