@@ -18,7 +18,9 @@ rationals mod 2, combined term by term, and only one interval cosine per
 distinct exponent is ever evaluated.  Conjugate residues h and k-h carry
 opposite exponents, so each A_k(n) is real; the truncation checks exactly, on
 the exponent multiset, that every exponent is matched by its negative, rather
-than assuming it.
+than assuming it.  A_k(n) depends on n only through n mod k, so it is computed
+once per (n mod k, k, bits) and memoized; the exact realness check runs on
+every miss.
 
 Truncating the series at odd cutoff N leaves an error R(n, N) with the
 explicit bound |R| <= N^{5/2}/(n mu) * sinh(mu/N), and a slightly tightened
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, Tuple
 
@@ -111,6 +114,7 @@ def omega(h: int, k: int) -> RootOfUnity:
     return RootOfUnity.from_exponent(sawtooth_exponent(h % k, k))
 
 
+@lru_cache(maxsize=None)
 def series_multiplier(h: int, k: int) -> RootOfUnity:
     """w(h,k)^2 / w(2h,k), again a root of unity (denominator divides 2k^2
     for odd k), with exponent 2 s(h,k) - s(2h mod k, k) mod 2; 2h is reduced
@@ -133,14 +137,16 @@ def mu_mpi(n: int, prec: int):
     return mpi_mul(mpi_pi(prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
 
 
-def _term_derivative_mpi(n: int, k: int, prec: int):
+def _term_derivatives_mpi(n: int, ks, prec: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
-    #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k)
-    mu_over_k = mpi_div(mu_mpi(n, prec), int_mpi(k, prec), prec)
-    sqrt_n = mpi_sqrt(int_mpi(n, prec), prec)
-    cosh, sinh = cosh_sinh_mpi(mu_over_k, prec)
-    first = mpi_mul(mpi_div(mpi_pi(prec), int_mpi(2 * k * n, prec), prec), cosh, prec)
-    return mpi_sub(first, mpi_div(sinh, mpi_mul(int_mpi(2 * n, prec), sqrt_n, prec), prec), prec)
+    #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k), for each k in ks;
+    # mu and 2 n^{3/2} are shared by every k.
+    m = mu_mpi(n, prec)
+    two_n_sqrt_n = mpi_mul(int_mpi(2 * n, prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
+    for k in ks:
+        cosh, sinh = cosh_sinh_mpi(mpi_div(m, int_mpi(k, prec), prec), prec)
+        first = mpi_mul(mpi_div(mpi_pi(prec), int_mpi(2 * k * n, prec), prec), cosh, prec)
+        yield mpi_sub(first, mpi_div(sinh, two_n_sqrt_n, prec), prec)
 
 
 def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
@@ -152,7 +158,7 @@ def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     prec = check_precision(precision_bits)
-    return CertifiedInterval.from_mpi(_term_derivative_mpi(n, k, prec), prec)
+    return CertifiedInterval.from_mpi(next(_term_derivatives_mpi(n, (k,), prec)), prec)
 
 
 @dataclass(frozen=True)
@@ -183,8 +189,12 @@ def _multiplier_exponents(n: int, k: int) -> Dict[Fraction, int]:
     return counts
 
 
+@lru_cache(maxsize=None)
 def _multiplier_sum_mpi(n: int, k: int, prec: int):
     """A_k(n), which is real, as an endpoint tuple.
+
+    Callers pass n mod k (the phase 2nh/k mod 2 has period k in n), so the
+    memo holds at most sum_{odd k <= N} k sums per precision at cutoff N.
 
     Raises :class:`UndecidedRealError` unless every exponent e occurs as often
     as -e mod 2, checked exactly before any interval work.  Each pair then
@@ -211,12 +221,12 @@ def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
     exactly to be conjugate-symmetric, else :class:`UndecidedRealError` is
     raised rather than an imaginary part silently discarded.
     """
-    prec = params.precision_bits
+    n, prec = params.n, params.precision_bits
     total = mpi_zero
     two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
-    for k in range(1, params.N + 1, 2):
-        real = _multiplier_sum_mpi(params.n, k, prec)
-        deriv = _term_derivative_mpi(params.n, k, prec)
+    ks = range(1, params.N + 1, 2)
+    for k, deriv in zip(ks, _term_derivatives_mpi(n, ks, prec)):
+        real = _multiplier_sum_mpi(n % k, k, prec)
         scale = mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
         total = mpi_add(total, mpi_mul(mpi_mul(scale, real, prec), deriv, prec), prec)
     return CertifiedInterval.from_mpi(total, prec)

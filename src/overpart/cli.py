@@ -253,8 +253,6 @@ def cmd_campaign(args) -> int:
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--out", help="report file (default: stdout)")
-    parser.add_argument("--bits", type=int, default=128,
-                        help="starting interval precision")
     parser.add_argument("--table", help=f"table file (default: ${ENV_TABLE} or build)")
 
 
@@ -287,6 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--from", dest="from_n", type=int, required=True)
     p_verify.add_argument("--to", dest="to_n", type=int, required=True)
     p_verify.add_argument("--m-policy", dest="m_policy", type=int, choices=(1, 2), default=1)
+    p_verify.add_argument("--bits", type=int, default=128, help="starting interval precision")
     _add_report_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

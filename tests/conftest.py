@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from overpart import build_table, solve_lambda_table
+from overpart import asymptotics, build_table, solve_lambda_table
 
 # Property tests replay the same examples on every run: no randomness across
 # runs, no example database carried between them, no timing-based deadline.
@@ -26,3 +26,20 @@ def desk_table():
 @pytest.fixture(scope="session")
 def lambda_table():
     return solve_lambda_table()
+
+
+@pytest.fixture
+def patch_exponents(monkeypatch):
+    """Returns ``patch(fake)``: it puts ``fake`` in place of
+    ``asymptotics._multiplier_exponents`` and empties the multiplier-sum memo,
+    so the next sum reads the fake multiset (and runs the realness check)
+    instead of returning a sum cached earlier.  The memo is emptied again
+    afterwards, so no sum of a fake multiset outlives the test."""
+    memo = asymptotics._multiplier_sum_mpi
+
+    def patch(fake):
+        monkeypatch.setattr(asymptotics, "_multiplier_exponents", fake)
+        memo.cache_clear()
+
+    yield patch
+    memo.cache_clear()

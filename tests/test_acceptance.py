@@ -2,7 +2,9 @@
 
 All tolerances are pinned here exactly as contracted: exact arithmetic means
 zero tolerance, interval criteria mean certified containment with no numeric
-fudge.  Criterion 3b is checked in its certified form: rounding the series
+fudge.  Every criterion runs over its full claimed range on every run,
+criterion 8 over 92..30984 and criterion 3b over all 1951 indices of
+50..2000.  Criterion 3b is checked in its certified form: rounding the series
 truncation T_N(n) recovers pbar(n) for every 50 <= n <= 2000 at the smallest
 odd cutoff N whose tightened tail bound plus the truncation's width is below
 1/2 (N = 15..39 on that range), and each such certificate is itself checked
@@ -13,7 +15,6 @@ pinned in tests/test_asymptotics.py (test_truncation_rounding_behavior_at_100,
 test_truncation_rounds_exactly_at_small_n).
 """
 
-import os
 import random
 import time
 from bisect import bisect_left
@@ -51,8 +52,6 @@ from overpart import (
     trunc_exp_upper,
     truncation_error_bound,
 )
-
-RUN_FULL = os.environ.get("OPART_FULL") == "1"
 
 
 def _report(tag, ok, elapsed=None, detail=""):
@@ -113,8 +112,7 @@ def test_criterion_3a_truncation_bound(desk_table, truncation_data):
 
 
 # Criterion 3b's cutoff bands: the certified cutoff is 15 on 50..74, 17 on
-# 75..132, and so on up to 39 on 1737..2000.  The certificate is tightest at
-# the band ends, so tier-1 runs the first and last n of every band.
+# 75..132, and so on up to 39 on 1737..2000.
 RECOVERY_FIRST_CUTOFF = 15
 RECOVERY_BAND_ENDS = (74, 132, 207, 298, 408, 536, 684, 851, 1040, 1250, 1482,
                       1736, 2000)
@@ -163,18 +161,14 @@ def _check_certified_recovery(tag, table, subjects, finding=""):
 def test_criterion_3b_truncation_rounding(desk_table, truncation_data):
     # Clause: the nearest integer to the series truncation is pbar(n) for all
     # 50 <= n <= 2000.  Checked at the cutoff the tightened tail bound
-    # certifies (B~ + width < 1/2), over 50..130 (the first cutoff-3 misses and
-    # README's n = 100), every 50th n, and the first and last n of each cutoff
-    # band; OPART_FULL=1 runs all 1951 indices.  The fixed cutoff 3 certifies
-    # nothing here (its plain bound is at least 2.11, its tightened bound at
-    # least 1.003 on 1..2000) and is reported as a finding, not asserted.
+    # certifies (B~ + width < 1/2), for every one of the 1951 indices.  The
+    # fixed cutoff 3 certifies nothing here (its plain bound is at least 2.11,
+    # its tightened bound at least 1.003 on 1..2000) and is reported as a
+    # finding, not asserted.
     rows, _ = truncation_data
     misses = [n for n, _, _, _, rounded in rows if n >= 50 and rounded != desk_table[n]]
     finding = f"; finding: cutoff 3 misses {len(misses)} of 1951, first {misses[:3]}"
-    firsts = [50] + [end + 1 for end in RECOVERY_BAND_ENDS[:-1]]
-    subjects = sorted(set(range(50, 131)) | set(range(50, 2001, 50))
-                      | set(firsts) | set(RECOVERY_BAND_ENDS))
-    _check_certified_recovery("3b", desk_table, subjects, finding)
+    _check_certified_recovery("3b", desk_table, range(50, 2001), finding)
 
 
 def test_criterion_4_lambda_reproduction():
@@ -245,7 +239,6 @@ def test_criterion_8_ratio_vs_quadratic_desk(desk_table):
     assert result.count(Verdict.UNDECIDED) == 0
 
 
-@pytest.mark.skipif(not RUN_FULL, reason="set OPART_FULL=1 for the 92..30984 sweep")
 def test_criterion_8_ratio_vs_quadratic_full():
     start = time.perf_counter()
     table = build_table(30986)
@@ -256,11 +249,6 @@ def test_criterion_8_ratio_vs_quadratic_full():
     assert result.count(Verdict.FAILS) == 0
     assert result.count(Verdict.UNDECIDED) == 0
     assert elapsed < 7200.0
-
-
-@pytest.mark.skipif(not RUN_FULL, reason="set OPART_FULL=1 for the 50..2000 recovery sweep")
-def test_criterion_3b_truncation_rounding_full(desk_table):
-    _check_certified_recovery("3b-full", desk_table, range(50, 2001))
 
 
 def test_criterion_9_third_order(desk_table):

@@ -190,32 +190,28 @@ def test_truncation_is_real_by_pairing():
             rademacher_truncation(SeriesParams(n, N, 128))
 
 
-def test_truncation_realness_gate_fires(monkeypatch):
+def test_truncation_realness_gate_fires(patch_exponents):
     # An unpaired exponent multiset must trip the realness gate, not be
     # silently discarded.
     from overpart import UndecidedRealError
-    from overpart import asymptotics as asy
 
-    monkeypatch.setattr(asy, "_multiplier_exponents",
-                        lambda n, k: {Fraction(1, 7): 1})
+    patch_exponents(lambda n, k: {Fraction(1, 7): 1})
     with pytest.raises(UndecidedRealError):
         rademacher_truncation(SeriesParams(5, 3, 128))
 
 
-def test_realness_check_is_exact_on_the_exponent_multiset(monkeypatch):
+def test_realness_check_is_exact_on_the_exponent_multiset(patch_exponents):
     # Paired exponents pass and sum to 2 cos(pi/7); one extra copy of an
     # exponent leaves it unpaired and raises, however small its sine.
     from overpart import UndecidedRealError
     from overpart import asymptotics as asy
 
-    monkeypatch.setattr(asy, "_multiplier_exponents",
-                        lambda n, k: {Fraction(1, 7): 1, Fraction(13, 7): 1, Fraction(1): 3})
+    patch_exponents(lambda n, k: {Fraction(1, 7): 1, Fraction(13, 7): 1, Fraction(1): 3})
     paired = CertifiedInterval.from_mpi(asy._multiplier_sum_mpi(5, 3, 128), 128)
     mp_hi = mp.clone()
     mp_hi.prec = 300
     assert paired.lo < 2 * mp_hi.cos(mp_hi.pi / 7) - 3 < paired.hi
-    monkeypatch.setattr(asy, "_multiplier_exponents",
-                        lambda n, k: {Fraction(1, 10 ** 6): 2, Fraction(2 * 10 ** 6 - 1, 10 ** 6): 1})
+    patch_exponents(lambda n, k: {Fraction(1, 10 ** 6): 2, Fraction(2 * 10 ** 6 - 1, 10 ** 6): 1})
     with pytest.raises(UndecidedRealError):
         asy._multiplier_sum_mpi(5, 3, 128)
 
@@ -227,6 +223,22 @@ def test_multiplier_exponents_paired_for_every_residue():
     for k in range(1, 26, 2):
         for n in range(k):
             asy._multiplier_sum_mpi(n, k, 64)
+
+
+def test_multiplier_memo_is_keyed_by_residue(monkeypatch):
+    # A sweep over n = 1..2000 at cutoff 39 adds at most one sum per residue
+    # class, sum_{odd k <= 39} k = 400, to the memo; a memo keyed on n would
+    # add one per (n, k).  The term derivatives do not touch the memo and are
+    # stubbed out so that the sweep stays quick.
+    from mpmath.libmp.libmpi import mpi_one
+
+    from overpart import asymptotics as asy
+
+    monkeypatch.setattr(asy, "_term_derivatives_mpi", lambda n, ks, prec: (mpi_one for _ in ks))
+    before = asy._multiplier_sum_mpi.cache_info().currsize
+    for n in range(1, 2001):
+        rademacher_truncation(SeriesParams(n, 39, 53))
+    assert asy._multiplier_sum_mpi.cache_info().currsize - before <= 400
 
 
 def test_truncation_error_bound_examples():

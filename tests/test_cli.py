@@ -113,13 +113,10 @@ def test_approx_verdict_counts_the_truncation_width(capsys):
     assert "within bound: yes" in out
 
 
-def test_approx_undecided_real_exit(monkeypatch, capsys):
+def test_approx_undecided_real_exit(patch_exponents, capsys):
     from fractions import Fraction
 
-    from overpart import asymptotics as asy
-
-    monkeypatch.setattr(asy, "_multiplier_exponents",
-                        lambda n, k: {Fraction(1, 7): 1})
+    patch_exponents(lambda n, k: {Fraction(1, 7): 1})
     assert run_cli("approx", "5") == 1
 
 
@@ -295,6 +292,12 @@ def test_campaign_scaled_down(tmp_path, capsys, monkeypatch):
     names = {r["check"] for r in records}
     assert names == {spec.name for spec in tiny}
     assert captured.err.count("\n") == len(tiny)  # one summary line per check
+
+
+def test_campaign_has_no_bits_flag(capsys):
+    # Suites fix their own starting precision; a --bits flag would be ignored.
+    assert run_cli("campaign", "--bits", "256") == EXIT_USAGE
+    assert "--bits" in capsys.readouterr().err
 
 
 # -- records and exit codes ------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import context_kernels as oracle
+from overpart import asymptotics
 from overpart import (
     CertifiedInterval,
     SeriesParams,
@@ -122,6 +123,23 @@ def test_series_and_bounds_match_the_context_oracle(bits):
         for N in CUTOFFS if n in (50, 2000) else CUTOFFS[:3]:
             assert (rademacher_truncation(SeriesParams(n, N, bits)).mpi
                     == oracle.truncation(ctx, n, N)._mpi_), (n, N)
+
+
+@pytest.mark.parametrize("n, N, bits", ((69, 15, 53), (1737, 39, 256), (2000, 39, 53),
+                                        (30984, 39, 256)))
+def test_memoized_truncation_matches_the_uncached_oracle(n, N, bits):
+    # Fill the memo from other indices of n's residue classes, n + j k, then
+    # require the truncation at n, served wholly from the memo, to equal the
+    # oracle, which recomputes every multiplier sum.
+    memo = asymptotics._multiplier_sum_mpi
+    memo.cache_clear()
+    for k in range(1, N + 1, 2):
+        for j in (1, 2, 7):
+            rademacher_truncation(SeriesParams(n + j * k, k, bits))
+    misses = memo.cache_info().misses
+    truncation = rademacher_truncation(SeriesParams(n, N, bits))
+    assert memo.cache_info().misses == misses
+    assert truncation.mpi == oracle.truncation(oracle.context(bits), n, N)._mpi_
 
 
 @pytest.mark.parametrize("bits", SERIES_BITS)
