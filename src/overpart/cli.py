@@ -5,8 +5,9 @@ count), ``approx`` (truncated series with its error bound against the exact
 value), ``verify`` (run one named inequality over a range), ``lambda`` (the
 certified pairwise thresholds) and ``campaign`` (a named suite of checks).
 
-Reports are CSV (RFC 4180, header row) or JSONL, one record per subject, with
-the certified margin as a decimal string (exact integers for exact
+Reports are CSV (RFC 4180, header row) or JSONL, one line per subject: a
+:class:`~overpart.verifiers.CheckItem` written field by field in CSV_HEADER
+order, with the certified margin as a decimal string (exact integers for exact
 checks, directed-rounded scientific notation otherwise).  Exit codes: 0 when
 nothing failed and nothing was undecided, 3 on any failed verdict, 4 when the
 only blemishes are undecided verdicts, 2 on usage errors.
@@ -21,7 +22,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from typing import Iterable, List, Optional, Sequence, TextIO
 
 from . import exact_core
@@ -35,6 +35,7 @@ from .asymptotics import (
 )
 from .verifiers import (
     CHECK_NAMES,
+    CheckItem,
     CheckResult,
     CheckSpec,
     run_campaign,
@@ -50,58 +51,24 @@ EXIT_USAGE = 2
 EXIT_FAILS = 3
 EXIT_UNDECIDED = 4
 
-
-@dataclass(frozen=True)
-class ReportRecord:
-    """One report line: which check, which subject, what was certified."""
-
-    check: str
-    subject: str
-    verdict: str
-    margin: str
-    precision_bits: int
-
-    CSV_HEADER = ("check", "subject", "verdict", "margin", "precision_bits")
-
-    def to_csv_row(self) -> List[str]:
-        return [self.check, self.subject, self.verdict, self.margin, str(self.precision_bits)]
-
-    @classmethod
-    def from_csv_row(cls, row: Sequence[str]) -> "ReportRecord":
-        return cls(check=row[0], subject=row[1], verdict=row[2],
-                   margin=row[3], precision_bits=int(row[4]))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str) -> "ReportRecord":
-        return cls(**json.loads(line))
+CSV_HEADER = ("check", "subject", "verdict", "margin", "precision_bits")
 
 
-def records_from_results(results: Iterable[CheckResult]) -> List[ReportRecord]:
-    records = []
-    for result in results:
-        for item in result.items:
-            records.append(ReportRecord(
-                check=result.spec.name,
-                subject=item.subject,
-                verdict=str(item.verdict),
-                margin=item.margin,
-                precision_bits=item.precision_bits,
-            ))
-    return records
+def records_from_results(results: Iterable[CheckResult]) -> List[CheckItem]:
+    """Every result's items in order: the report lines themselves, not copies."""
+    return [item for result in results for item in result.items]
 
 
-def write_report(records: Sequence[ReportRecord], fmt: str, stream: TextIO) -> None:
+def write_report(items: Iterable[CheckItem], fmt: str, stream: TextIO) -> None:
+    rows = ((item.check, item.subject, item.verdict.value, item.margin, item.precision_bits)
+            for item in items)
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(ReportRecord.CSV_HEADER)
-        for record in records:
-            writer.writerow(record.to_csv_row())
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
     elif fmt == "jsonl":
-        for record in records:
-            stream.write(record.to_json() + "\n")
+        for row in rows:
+            stream.write(json.dumps(dict(zip(CSV_HEADER, row)), sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

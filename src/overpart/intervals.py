@@ -202,10 +202,9 @@ def precision_ladder(
     evaluate: Callable[[int], T],
     settled: Callable[[T], bool],
     start_bits: int = DEFAULT_BITS,
-    max_bits: int = MAX_BITS,
 ) -> Tuple[int, T]:
     """Evaluate at ``start_bits`` and double the precision until ``settled``
-    accepts the result or ``max_bits`` is reached.
+    accepts the result or ``MAX_BITS`` is reached.
 
     Returns the last precision and its result; the caller reads an unsettled
     result at the cap as undecided.
@@ -213,9 +212,9 @@ def precision_ladder(
     bits = start_bits
     while True:
         value = evaluate(bits)
-        if settled(value) or bits >= max_bits:
+        if settled(value) or bits >= MAX_BITS:
             return bits, value
-        bits = min(2 * bits, max_bits)
+        bits = min(2 * bits, MAX_BITS)
 
 
 def _sign(gap: CertifiedInterval) -> Optional[int]:
@@ -231,16 +230,15 @@ def _sign(gap: CertifiedInterval) -> Optional[int]:
 def certify_sign(
     gap_at: Callable[[int], CertifiedInterval],
     start_bits: int = DEFAULT_BITS,
-    max_bits: int = MAX_BITS,
 ) -> tuple[Optional[int], CertifiedInterval]:
     """Resolve the sign of an interval-valued expression.
 
     ``gap_at(bits)`` must re-evaluate the same expression at the given
     precision.  Returns ``(+1 | -1 | 0, witness)`` on success; ``0`` only for
     an exactly-zero interval.  Returns ``(None, witness)`` when the sign still
-    straddles zero at ``max_bits``.
+    straddles zero at ``MAX_BITS``.
     """
-    _, gap = precision_ladder(gap_at, lambda g: _sign(g) is not None, start_bits, max_bits)
+    _, gap = precision_ladder(gap_at, lambda g: _sign(g) is not None, start_bits)
     return _sign(gap), gap
 
 

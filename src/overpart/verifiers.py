@@ -76,7 +76,7 @@ class Verdict(str, enum.Enum):
     FAILS = "fails"
     UNDECIDED = "undecided"
 
-    def __str__(self) -> str:  # plain value in reports
+    def __str__(self) -> str:  # the plain value, as reports write it
         return self.value
 
 
@@ -93,6 +93,9 @@ class CheckSpec:
     def __post_init__(self):
         if self.name not in CHECKS:
             raise ValueError(f"unknown check {self.name!r}")
+        foreign = sorted(set(self.params) - set(CHECKS[self.name].params))
+        if foreign:
+            raise ValueError(f"{self.name} takes no parameter {', '.join(map(repr, foreign))}")
         if self.from_n > self.to_n:
             raise ValueError(f"empty range {self.from_n}..{self.to_n}")
         if not isinstance(self.precision_bits, int) or self.precision_bits < 2:
@@ -100,8 +103,11 @@ class CheckSpec:
                 f"precision_bits must be an integer of at least 2, got {self.precision_bits!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckItem:
+    """One report line, its fields in column order; the CLI writes it as is."""
+
+    check: str
     subject: str
     verdict: Verdict
     margin: str
@@ -144,14 +150,14 @@ class CheckResult:
 # -- per-subject verdicts -----------------------------------------------------------
 
 
-def _exact_item(subject: str, value: int) -> CheckItem:
+def _exact_outcome(value: int) -> Tuple[Verdict, str, int]:
     if value > 0:
         verdict = Verdict.HOLDS
     elif value == 0:
         verdict = Verdict.EQUALITY
     else:
         verdict = Verdict.FAILS
-    return CheckItem(subject=subject, verdict=verdict, margin=str(value), precision_bits=0)
+    return verdict, str(value), 0
 
 
 def _settled(gaps: Optional[List[tuple]]) -> bool:
@@ -159,8 +165,8 @@ def _settled(gaps: Optional[List[tuple]]) -> bool:
                                  or all(mpf_sign(lo) > 0 for lo, _ in gaps))
 
 
-def _interval_item(subject: str, gaps_at: Callable, start_bits: int,
-                   kernel_data: Callable[[int], KernelData]) -> CheckItem:
+def _interval_outcome(gaps_at: Callable, start_bits: int,
+                      kernel_data: Callable[[int], KernelData]) -> Tuple[Verdict, str, int]:
     """Certify that every gap ``gaps_at(kernel_data(bits))`` returns is
     positive; fails on any certified negative gap, undecided when the ladder's
     cap is reached with neither.
@@ -177,17 +183,17 @@ def _interval_item(subject: str, gaps_at: Callable, start_bits: int,
 
     bits, gaps = precision_ladder(evaluate, _settled, start_bits)
     if gaps is None:
-        return CheckItem(subject, Verdict.UNDECIDED, "-inf..+inf", bits)
+        return Verdict.UNDECIDED, "-inf..+inf", bits
     negative = [hi for _, hi in gaps if mpf_sign(hi) < 0]
     if negative:
         worst = min(raw_to_fraction(hi) for hi in negative)
-        return CheckItem(subject, Verdict.FAILS, directed_decimal(worst, round_up=True), bits)
+        return Verdict.FAILS, directed_decimal(worst, round_up=True), bits
     if all(mpf_sign(lo) > 0 for lo, _ in gaps):
         margin = min(raw_to_fraction(lo) for lo, _ in gaps)
-        return CheckItem(subject, Verdict.HOLDS, directed_decimal(margin, round_up=False), bits)
+        return Verdict.HOLDS, directed_decimal(margin, round_up=False), bits
     lo, hi = min((g for g in gaps if mpf_sign(g[0]) <= 0), key=lambda g: mp.make_mpf(g[0]))
     margin = render_endpoint(lo, round_up=False) + ".." + render_endpoint(hi, round_up=True)
-    return CheckItem(subject, Verdict.UNDECIDED, margin, bits)
+    return Verdict.UNDECIDED, margin, bits
 
 
 # -- subjects and evaluators --------------------------------------------------------
@@ -293,6 +299,7 @@ class Check:
     table_top: Callable[[CheckSpec], int]
     subjects: Callable[[CheckSpec], Iterable]
     evaluate: Callable
+    params: Tuple[str, ...] = ()  # the only CheckSpec.params keys it reads
 
 
 def _next(spec: CheckSpec) -> int:
@@ -304,11 +311,13 @@ def _next_two(spec: CheckSpec) -> int:
 
 
 # The paper's checks in report order: name, exact, lowest n, table top,
-# subjects, evaluator.
+# subjects, evaluator, params.
 CHECKS: Dict[str, Check] = {check.name: check for check in (
     Check("log-concavity", True, 1, _next, _indices, _log_concavity),
-    Check("strong-log-concavity", True, 2, _strong_top, _strong_pairs, _strong_log_concavity),
-    Check("multiplicative", True, 2, _multiplicative_top, _multiplicative_pairs, _multiplicative),
+    Check("strong-log-concavity", True, 2, _strong_top, _strong_pairs, _strong_log_concavity,
+          ("m_policy",)),
+    Check("multiplicative", True, 2, _multiplicative_top, _multiplicative_pairs, _multiplicative,
+          ("a_max",)),
     Check("delta2-log", False, 1, _next, _indices, _delta2_log),
     Check("higher-turan", True, 1, _next_two, _indices, higher_turan_integer),
     Check("u-monotone", True, 1, _next_two, _indices, _u_monotone),
@@ -336,8 +345,9 @@ def table_requirement(spec: CheckSpec) -> int:
 def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
     """Validate ``spec`` against its registry entry and ``table``, then sweep."""
     needed = table_requirement(spec)
-    if needed and needed > table.max_n:
-        raise IndexError(f"{spec.name} needs pbar(0..{needed}), table stops at {table.max_n}")
+    if needed and (table is None or needed > table.max_n):
+        have = "no table given" if table is None else f"table stops at {table.max_n}"
+        raise IndexError(f"{spec.name} needs pbar(0..{needed}), {have}")
     check = CHECKS[spec.name]
     rungs: Dict[int, KernelData] = {}  # one per precision, dropped on return
 
@@ -351,8 +361,9 @@ def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResu
     items = []
     for label, subject in check.subjects(spec):
         value = check.evaluate(table, subject)
-        items.append(_exact_item(label, value) if check.exact
-                     else _interval_item(label, value, spec.precision_bits, kernel_data))
+        outcome = (_exact_outcome(value) if check.exact
+                   else _interval_outcome(value, spec.precision_bits, kernel_data))
+        items.append(CheckItem(spec.name, label, *outcome))
     return CheckResult(spec=spec, items=items, wall_time=time.perf_counter() - start)
 
 
@@ -512,9 +523,12 @@ def _threshold_sign(a: int, lam: Fraction) -> int:
     return sign
 
 
-def solve_lambda_table(width: Fraction = Fraction(9, 10 ** 7)) -> LambdaTable:
+_LAMBDA_WIDTH = Fraction(9, 10 ** 7)  # bisection's last bracket, below LambdaTable's 1e-6
+
+
+def solve_lambda_table() -> LambdaTable:
     """Bisect the strictly increasing threshold gap for a in {2..5} down to
-    rational bracket width <= ``width`` (certified signs at every step)."""
+    rational bracket width <= ``_LAMBDA_WIDTH`` (certified signs at every step)."""
     entries: Dict[int, CertifiedInterval] = {}
     for a in range(2, 6):
         lo = Fraction(1)
@@ -525,7 +539,7 @@ def solve_lambda_table(width: Fraction = Fraction(9, 10 ** 7)) -> LambdaTable:
             hi *= 2
             if hi > 64:
                 raise BracketError(f"no sign change below lambda=64 for a={a}")
-        while hi - lo > width:
+        while hi - lo > _LAMBDA_WIDTH:
             mid = (lo + hi) / 2
             if _threshold_sign(a, mid) < 0:
                 lo = mid

@@ -229,21 +229,29 @@ def test_criterion_7_shifted_envelope(desk_table):
     assert elapsed < 900.0
 
 
-def test_criterion_8_ratio_vs_quadratic_desk(desk_table):
-    start = time.perf_counter()
-    result = check_f_vs_q(desk_table, 92, 5000)
-    elapsed = time.perf_counter() - start
-    ok = result.ok and result.count(Verdict.HOLDS) == 4909
-    _report(8, ok, elapsed, "lower + 1000/mu(n-1)^5 < Q(u_n), 92..5000")
-    assert result.count(Verdict.FAILS) == 0
-    assert result.count(Verdict.UNDECIDED) == 0
-
-
-def test_criterion_8_ratio_vs_quadratic_full():
+@pytest.fixture(scope="module")
+def criterion_8_sweep():
+    """The full f-vs-q sweep over 92..30984, run once for both criterion-8
+    tests, with its elapsed time (table build included)."""
     start = time.perf_counter()
     table = build_table(30986)
     result = check_f_vs_q(table, 92, 30984)
-    elapsed = time.perf_counter() - start
+    return result, time.perf_counter() - start
+
+
+def test_criterion_8_ratio_vs_quadratic_desk(criterion_8_sweep):
+    sweep, _ = criterion_8_sweep
+    verdicts = [item.verdict for item in sweep.items if int(item.subject[2:]) <= 5000]
+    holds = verdicts.count(Verdict.HOLDS)
+    ok = holds == 4909 and Verdict.FAILS not in verdicts and Verdict.UNDECIDED not in verdicts
+    _report(8, ok, None, "lower + 1000/mu(n-1)^5 < Q(u_n), 92..5000 (prefix of 8-full)")
+    assert verdicts.count(Verdict.FAILS) == 0
+    assert verdicts.count(Verdict.UNDECIDED) == 0
+    assert holds == 4909
+
+
+def test_criterion_8_ratio_vs_quadratic_full(criterion_8_sweep):
+    result, elapsed = criterion_8_sweep
     ok = result.ok and elapsed < 7200.0
     _report("8-full", ok, elapsed, "92..30984 sweep")
     assert result.count(Verdict.FAILS) == 0

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -11,7 +12,7 @@ from overpart.cli import (
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
-    ReportRecord,
+    CSV_HEADER,
     SUITES,
     exit_code_for,
     main,
@@ -123,10 +124,14 @@ def test_approx_undecided_real_exit(patch_exponents, capsys):
 # -- verify ------------------------------------------------------------------------
 
 
+def _item(check, subject, verdict, margin, precision_bits):
+    return CheckItem(check, subject, Verdict(verdict), margin, int(precision_bits))
+
+
 def _parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == list(ReportRecord.CSV_HEADER)
-    return [ReportRecord.from_csv_row(row) for row in rows[1:]]
+    assert rows[0] == list(CSV_HEADER)
+    return [_item(*row) for row in rows[1:]]
 
 
 def test_verify_higher_turan_ok(capsys):
@@ -184,8 +189,7 @@ def test_verify_formats_agree(tmp_path, capsys):
                    "--format", "jsonl", "--out", str(jsonl_path)) == EXIT_OK
     capsys.readouterr()
     csv_records = _parse_csv(csv_path.read_text())
-    jsonl_records = [ReportRecord.from_json(line)
-                     for line in jsonl_path.read_text().splitlines()]
+    jsonl_records = [_item(**json.loads(line)) for line in jsonl_path.read_text().splitlines()]
     assert csv_records == jsonl_records
     assert sorted(r.verdict for r in csv_records) == sorted(r.verdict for r in jsonl_records)
 
@@ -238,6 +242,53 @@ def test_verify_internal_error_propagates(monkeypatch):
     monkeypatch.setitem(CHECKS, "log-concavity", check)
     with pytest.raises(IndexError, match="evaluator bug"):
         run_cli("verify", "--check", "log-concavity", "--from", "2", "--to", "8")
+
+
+# One short slice per check, covering holds, equality and fails verdicts,
+# two-gap margins and (f-vs-q from 8 bits) a climbed rung.  The digests are
+# those of the report bytes before CheckItem became the report record.
+REPORT_DIGESTS = {
+    ("log-concavity", 1, 40, ()): (
+        "974b4709120683586f99ba836edccc3bc5c359df84687839035f9aa3b044e5eb",
+        "6586daa5e771d8f54e113500ecb4de710dc6dc0f89dc3a934d7194b6663dbed0"),
+    ("strong-log-concavity", 2, 12, ()): (
+        "62c505d2694cd875ecff7ec21c329324075f75c28573275c2137857a49b994ae",
+        "e1bed7909077a82735b884212b355a8b633cb82ce29c9c0a0ab7a7c1febc2c7d"),
+    ("multiplicative", 2, 30, ()): (
+        "c4e8b945450b5182d3f6404658235b7af06df98309bfe0e77153405ca0aad16c",
+        "71f35b4510b4e7f82238bef315148a344b1a90778a5363b8449fc6c99b07f262"),
+    ("delta2-log", 1, 60, ()): (
+        "132114a3783415a49f18b8acea625317b31a1050d1785ee58c1cb7500b2fe118",
+        "dbde5902d2d6f5465d0930c04948141d3f42d17b41f221775ec9502215b79369"),
+    ("higher-turan", 2, 40, ()): (
+        "049613533d3be6c46f861c8e6c9972ee01ae7d75010671f186936084b282258a",
+        "11819332150092149e7a455e3d16ab832838a94c628b6fa93cb0bd165abc9dc4"),
+    ("u-monotone", 1, 40, ()): (
+        "26b1c3277e817799527e21fd164afaee66698d0eccaf92f8c3d686fa15ae0e49",
+        "715ec98ff310baadec3969f1007f34517620ae77d2c8c9236872ecde1c87c350"),
+    ("fg-sandwich", 2, 80, ()): (
+        "ef71c5374c23cf3c109ab2ec86ed105bc23c178cabd73e87ff5001467ee39d17",
+        "f2f634ab7c81bb595172c411228dd10f689fb07eb34c31cf59c378b5d4b71c5b"),
+    ("g-vs-f-shift", 2, 120, ()): (
+        "7a4e20c4d8a4888634f6ad9c2e39bd8101b71b5f565059b0e5dab702e3154de5",
+        "f1cbfee4d1489d3ec1d3d260020039f5189eae31abf3c373362761c61c03e609"),
+    ("f-vs-q", 92, 160, ("--bits", "8")): (
+        "dfc62e7d2e97a2f5a8a52918f84ccfe0941c91297bbe0f8cdc4756145d0c68a6",
+        "9c950bacfa744dc8aa6123f5a33ff03deb9bd702a74889d3fb0bafc66c985224"),
+}
+
+
+def test_verify_report_bytes_pinned(capsys):
+    assert set(name for name, *_ in REPORT_DIGESTS) == set(CHECKS)
+    digests = {}
+    for (name, from_n, to_n, extra) in REPORT_DIGESTS:
+        pair = []
+        for fmt in ("csv", "jsonl"):
+            run_cli("verify", "--check", name, "--from", str(from_n), "--to", str(to_n),
+                    "--format", fmt, *extra)
+            pair.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        digests[(name, from_n, to_n, extra)] = tuple(pair)
+    assert digests == REPORT_DIGESTS
 
 
 # -- lambda ------------------------------------------------------------------------
@@ -303,25 +354,34 @@ def test_campaign_has_no_bits_flag(capsys):
 # -- records and exit codes ------------------------------------------------------------
 
 
-def test_report_record_round_trips():
-    record = ReportRecord("fg-sandwich", "n=55", "holds", "1.23456e-7", 128)
-    assert ReportRecord.from_csv_row(record.to_csv_row()) == record
-    assert ReportRecord.from_json(record.to_json()) == record
+def test_write_report_writes_item_fields():
+    item = CheckItem("fg-sandwich", "n=55", Verdict.HOLDS, "1.23456e-7", 128)
+    assert CheckItem.__slots__ == CSV_HEADER  # slotted, fields in column order
+    stream = io.StringIO()
+    write_report([item], "csv", stream)
+    assert stream.getvalue() == (
+        "check,subject,verdict,margin,precision_bits\n"
+        "fg-sandwich,n=55,holds,1.23456e-7,128\n")
+    stream = io.StringIO()
+    write_report([item], "jsonl", stream)
+    assert stream.getvalue() == (
+        '{"check": "fg-sandwich", "margin": "1.23456e-7", "precision_bits": 128, '
+        '"subject": "n=55", "verdict": "holds"}\n')
 
 
 def test_csv_quoting_round_trip():
-    record = ReportRecord("x", 'weird,"subject"', "holds", "-1", 0)
+    item = CheckItem("x", 'weird,"subject"', Verdict.HOLDS, "-1", 0)
     stream = io.StringIO()
-    write_report([record], "csv", stream)
+    write_report([item], "csv", stream)
     rows = list(csv.reader(io.StringIO(stream.getvalue())))
-    assert ReportRecord.from_csv_row(rows[1]) == record
+    assert rows[1] == ["x", 'weird,"subject"', "holds", "-1", "0"]
 
 
 def test_exit_code_for_synthetic_results():
     spec = CheckSpec("log-concavity", 1, 1)
 
     def result(verdict):
-        return CheckResult(spec, [CheckItem("n=1", verdict, "0", 0)], 0.0)
+        return CheckResult(spec, [CheckItem("log-concavity", "n=1", verdict, "0", 0)], 0.0)
 
     assert exit_code_for([result(Verdict.HOLDS)]) == EXIT_OK
     assert exit_code_for([result(Verdict.EQUALITY)]) == EXIT_OK
@@ -337,3 +397,4 @@ def test_records_from_results(desk_table):
     records = records_from_results([result])
     assert [r.subject for r in records] == ["n=2", "n=3", "n=4"]
     assert records[0].check == "log-concavity"
+    assert all(records[i] is result.items[i] for i in range(3))

@@ -149,8 +149,7 @@ def test_certify_sign_resolves():
 def test_certify_sign_zero_and_undecided():
     sign, _ = certify_sign(lambda bits: CertifiedInterval.from_fraction(0, bits))
     assert sign == 0
-    sign, witness = certify_sign(
-        lambda bits: CertifiedInterval.from_pair(-1, 1, bits), max_bits=256)
+    sign, witness = certify_sign(lambda bits: CertifiedInterval.from_pair(-1, 1, bits))
     assert sign is None
     assert witness.contains_zero()
 

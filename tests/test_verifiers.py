@@ -351,6 +351,20 @@ def test_check_spec_validation():
         CheckSpec("log-concavity", 2, 5, "exact")
 
 
+def test_check_spec_rejects_params_the_check_does_not_read():
+    # Both used to run: the first with m_policy = 1, the second ignoring a_max.
+    with pytest.raises(ValueError, match="'m-policy'"):
+        CheckSpec("strong-log-concavity", 2, 10, params={"m-policy": 2})
+    with pytest.raises(ValueError, match="'a_max'"):
+        CheckSpec("log-concavity", 2, 10, params={"a_max": 3})
+    for name, check in CHECKS.items():
+        for key in {"m_policy", "a_max"} - set(check.params):
+            with pytest.raises(ValueError):
+                CheckSpec(name, 2, 10, params={key: 2})
+    CheckSpec("strong-log-concavity", 2, 10, params={"m_policy": 2})
+    CheckSpec("multiplicative", 2, 10, params={"a_max": 3})
+
+
 def test_table_requirements():
     assert table_requirement(CheckSpec("log-concavity", 2, 100)) == 101
     assert table_requirement(CheckSpec("higher-turan", 2, 100)) == 102
@@ -391,6 +405,23 @@ def test_registry_table_requirement_is_exact(desk_table, monkeypatch):
         calls.clear()
         with pytest.raises(IndexError):
             run_check(OverpartitionTable(desk_table.values[:needed]), spec)
+        assert calls == [], name
+
+
+def test_table_reading_check_without_a_table_fails_before_evaluating(monkeypatch):
+    with pytest.raises(IndexError, match=r"log-concavity needs pbar\(0\.\.11\), no table"):
+        check_log_concavity(None, 1, 10)
+    for name in CHECK_NAMES:
+        spec = _small_spec(name)
+        needed = table_requirement(spec)
+        if not needed:  # g-vs-f-shift reads no table
+            assert run_check(None, spec).ok
+            continue
+        calls = []
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(
+            CHECKS[name], evaluate=lambda table, subject: calls.append(subject)))
+        with pytest.raises(IndexError, match=rf"{name} needs pbar\(0\.\.{needed}\), no table"):
+            run_check(None, spec)
         assert calls == [], name
 
 
