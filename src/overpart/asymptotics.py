@@ -214,6 +214,13 @@ def _multiplier_sum_mpi(n: int, k: int, prec: int):
     return real
 
 
+@lru_cache(maxsize=None)
+def _series_scale_mpi(k: int, prec: int):
+    """The scale sqrt(k) / (2 pi) of the k-th term, as an endpoint tuple."""
+    two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
+    return mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
+
+
 def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
     """Sum of the series over odd k <= N, as a certified interval.
 
@@ -223,11 +230,10 @@ def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
     """
     n, prec = params.n, params.precision_bits
     total = mpi_zero
-    two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
     ks = range(1, params.N + 1, 2)
     for k, deriv in zip(ks, _term_derivatives_mpi(n, ks, prec)):
         real = _multiplier_sum_mpi(n % k, k, prec)
-        scale = mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
+        scale = _series_scale_mpi(k, prec)
         total = mpi_add(total, mpi_mul(mpi_mul(scale, real, prec), deriv, prec), prec)
     return CertifiedInterval.from_mpi(total, prec)
 

@@ -245,37 +245,36 @@ def certify_sign(
 # -- directed decimal rendering ------------------------------------------------
 
 
-def _decimal_exponent(value: Fraction) -> int:
-    """floor(log10(value)) for positive rational ``value``, exactly."""
-    e = len(str(value.numerator)) - len(str(value.denominator))
-    while Fraction(10) ** e > value:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= value:
-        e += 1
-    return e
-
-
 def directed_decimal(value: Fraction, sig: int = 6, round_up: bool = False) -> str:
-    """Scientific-notation rendering with directed rounding.
+    """Scientific-notation rendering with directed rounding, to ``sig >= 1``
+    significant digits, in integer arithmetic.
 
     ``round_up=False`` yields a decimal <= value, ``round_up=True`` one >=
     value, so printed margins remain certificates.
     """
+    if sig < 1:
+        raise ValueError(f"need at least 1 significant digit, got {sig}")
     if value == 0:
         return "0"
     neg = value < 0
-    v = -value if neg else value
-    e = _decimal_exponent(v)
-    scaled = v * Fraction(10) ** (sig - 1 - e)
-    n, d = scaled.numerator, scaled.denominator
-    magnitude_up = round_up != neg
-    q = -((-n) // d) if magnitude_up else n // d
+    n, d = abs(value.numerator), value.denominator
+    # floor(log10 |value|), estimated from the bit lengths (log10 2 ~ 0.30103)
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while True:  # then made exact: until 1 <= num/den = |value| / 10^e < 10
+        num, den = (n, d * 10 ** e) if e >= 0 else (n * 10 ** -e, d)
+        if num < den:
+            e -= 1
+        elif num >= 10 * den:
+            e += 1
+        else:
+            break
+    num *= 10 ** (sig - 1)
+    q = -(-num // den) if round_up != neg else num // den
     if q >= 10 ** sig:
         q //= 10
         e += 1
     digits = str(q)
-    mantissa = digits[0] + "." + digits[1:]
-    return ("-" if neg else "") + mantissa + f"e{e:+d}"
+    return ("-" if neg else "") + digits[0] + "." + digits[1:] + f"e{e:+d}"
 
 
 def render_endpoint(raw, round_up: bool) -> str:

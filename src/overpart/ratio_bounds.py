@@ -26,10 +26,12 @@ and Q(u_n) - lower(n) - window (f_vs_q_gaps_raw); the verifiers certify their
 signs over finite ranges instead of assuming them.
 
 Every interval formula here runs on outward-rounded ``libmpi`` endpoint
-tuples; the gap kernels take the mu data a sweep shares from a
-:class:`KernelData`.  Each keeps the operation order of its interval-context
-form, which the tests keep as a bit-for-bit oracle, so the enclosures are the
-ones the context would give.
+tuples; the gap kernels read mu, lower(n), upper(n) and the window from a
+:class:`KernelData`.  A campaign sweeps its checks together by index and
+shares one per precision rung, freed when the campaign returns, so each of
+these is computed once however many checks read it.  Each formula keeps the
+operation order of its interval-context form, which the tests keep as a
+bit-for-bit oracle, so the enclosures are the ones the context would give.
 
 The cubic with coefficients binom(3,j) pbar(n+j) is hyperbolic (all roots
 real) exactly when its discriminant is nonnegative; the discriminant is an
@@ -80,15 +82,16 @@ _ONE, _TWO, _THREE = ((from_int(c), from_int(c)) for c in (1, 2, 3))
 
 
 class KernelData:
-    """The mu data of one sweep at one precision, built on first use.
+    """The mu and envelope data of one campaign at one precision, built on
+    first use.
 
     Holds (mu, mu^4, mu^5, mu^7, mu^14) per index and, per middle index n,
-    the envelope's shared factors at mu(n-1), mu(n), mu(n+1).  Sweeps run in
-    index order, so each store keeps only its ``WINDOW`` newest entries and
-    drops those the sweep has passed: memory stays fixed however long the
-    sweep.  Two are enough for each index to be computed once, since subject
-    n + 1 reads only the triples at n + 1 and n + 2, built from the powers at
-    n .. n + 3.
+    the envelope's shared factors at mu(n-1), mu(n), mu(n+1), lower(n),
+    upper(n) and the window 1000/mu(n-1)^5.  A campaign sweeps its checks
+    together in index order, so each store keeps only its ``WINDOW`` newest
+    entries: memory stays fixed however long the sweep.  Two are enough for
+    each value to be computed once, since the subjects at n read triples and
+    upper members only at n and n + 1.
     """
 
     WINDOW = 2
@@ -97,27 +100,40 @@ class KernelData:
         self.prec = prec
         self._powers: Dict[int, tuple] = {}
         self._triples: Dict[int, tuple] = {}
+        self._lower: Dict[int, tuple] = {}
+        self._upper: Dict[int, tuple] = {}
+        self._windows: Dict[int, tuple] = {}
 
-    def _keep(self, store: Dict[int, tuple], key: int, value: tuple) -> tuple:
-        if len(store) >= self.WINDOW:
-            del store[next(iter(store))]
-        store[key] = value
-        return value
+    def _memo(self, store: Dict[int, tuple], key: int, make) -> tuple:
+        """``store[key]``, computed by ``make()`` on a miss; the oldest entry
+        goes once the store holds ``WINDOW``."""
+        found = store.get(key)
+        if found is None:
+            if len(store) >= self.WINDOW:
+                del store[next(iter(store))]
+            found = store[key] = make()
+        return found
 
     def powers(self, m: int) -> tuple:
         """(mu, mu^4, mu^5, mu^7, mu^14) at index m."""
-        found = self._powers.get(m)
-        if found is None:
-            found = self._keep(self._powers, m, _powers(self.prec, mu_mpi(m, self.prec)))
-        return found
+        return self._memo(self._powers, m, lambda: _powers(self.prec, mu_mpi(m, self.prec)))
 
     def triple(self, n: int) -> tuple:
         """The envelope's arguments at n: see :func:`_triple`."""
-        found = self._triples.get(n)
-        if found is None:
-            found = self._keep(self._triples, n, _triple(
-                self.prec, self.powers(n - 1), self.powers(n), self.powers(n + 1)))
-        return found
+        return self._memo(self._triples, n, lambda: _triple(
+            self.prec, self.powers(n - 1), self.powers(n), self.powers(n + 1)))
+
+    def lower(self, n: int) -> tuple:
+        """The envelope's lower member at n."""
+        return self._memo(self._lower, n, lambda: _envelope(self.prec, self.triple(n), -1))
+
+    def upper(self, n: int) -> tuple:
+        """The envelope's upper member at n."""
+        return self._memo(self._upper, n, lambda: _envelope(self.prec, self.triple(n), +1))
+
+    def window(self, n: int) -> tuple:
+        """The window 1000/mu(n-1)^5."""
+        return self._memo(self._windows, n, lambda: _window(self.prec, self.triple(n)[0]))
 
 
 def _powers(prec: int, x):
@@ -161,25 +177,21 @@ def _q(prec: int, t, sign: int):
 
 def fg_sandwich_gaps_raw(data: KernelData, n: int, u: Fraction):
     """[u_n - lower(n), upper(n) - u_n] for the exact ratio u = u_n."""
-    prec, triple = data.prec, data.triple(n)
-    ui = rational_mpi(u, prec)
-    return [mpi_sub(ui, _envelope(prec, triple, -1), prec),
-            mpi_sub(_envelope(prec, triple, +1), ui, prec)]
+    ui = rational_mpi(u, data.prec)
+    return [mpi_sub(ui, data.lower(n), data.prec), mpi_sub(data.upper(n), ui, data.prec)]
 
 
 def g_vs_f_shift_gaps_raw(data: KernelData, n: int):
     """[lower(n) + window - upper(n+1)]."""
-    prec, triple = data.prec, data.triple(n)
-    lower = mpi_add(_envelope(prec, triple, -1), _window(prec, triple[0]), prec)
-    return [mpi_sub(lower, _envelope(prec, data.triple(n + 1), +1), prec)]
+    lower = mpi_add(data.lower(n), data.window(n), data.prec)
+    return [mpi_sub(lower, data.upper(n + 1), data.prec)]
 
 
 def f_vs_q_gaps_raw(data: KernelData, n: int, u: Fraction):
     """[Q(u_n) - lower(n) - window] for the exact ratio u = u_n."""
-    prec, triple = data.prec, data.triple(n)
+    prec = data.prec
     q = _q(prec, rational_mpi(u, prec), +1)
-    return [mpi_sub(mpi_sub(q, _envelope(prec, triple, -1), prec),
-                    _window(prec, triple[0]), prec)]
+    return [mpi_sub(mpi_sub(q, data.lower(n), prec), data.window(n), prec)]
 
 
 def _envelope_at(n: int, precision_bits: int, signed: int) -> CertifiedInterval:

@@ -12,16 +12,18 @@ report must surface, not fold into "holds".
 
 Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
 the table it needs, its subjects and its per-subject evaluator.
-:func:`run_check` validates a spec against its entry once, then sweeps the
-subjects in index order.
+:func:`run_campaign` validates every spec against its entry first, then sweeps
+the subjects of all specs as one, in (sweep index, spec position) order;
+:func:`run_check` is a campaign of one spec.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
 outward-rounded ``libmpi`` endpoint tuples, and signs are read straight off
 those endpoints; the tests keep each formula's interval-context form as a
-bit-for-bit oracle.  A sweep gets one
-:class:`~overpart.ratio_bounds.KernelData` per precision rung, which shares mu
-data between neighbouring subjects and is dropped when :func:`run_check`
+bit-for-bit oracle.  A campaign gets one
+:class:`~overpart.ratio_bounds.KernelData` per precision rung, shared by all
+its checks, so the envelope checks at one index compute mu, the envelope and
+the window once between them; it is dropped when :func:`run_campaign`
 returns.  A rung at which an enclosure leaves a square root's domain is read
 as unsettled, so the ladder climbs past it.
 """
@@ -29,9 +31,11 @@ as unsettled, so the ladder climbs past it.
 from __future__ import annotations
 
 import enum
+import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from mpmath import mp
@@ -116,6 +120,9 @@ class CheckItem:
 
 @dataclass
 class CheckResult:
+    """One spec's items in subject order; ``wall_time`` is the summed time of
+    its own subjects within the campaign that ran it."""
+
     spec: CheckSpec
     items: List[CheckItem]
     wall_time: float
@@ -203,13 +210,13 @@ def _interval_outcome(gaps_at: Callable, start_bits: int,
 # re-evaluated at each rung of the ladder with that rung's KernelData.
 
 
-def _indices(spec: CheckSpec) -> Iterable[Tuple[str, int]]:
-    return ((f"n={n}", n) for n in range(spec.from_n, spec.to_n + 1))
+def _indices(spec: CheckSpec) -> Iterable[Tuple[int, str, int]]:
+    return ((n, f"n={n}", n) for n in range(spec.from_n, spec.to_n + 1))
 
 
-def _strong_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
+def _strong_pairs(spec: CheckSpec) -> Iterable[Tuple[int, str, Tuple[int, int]]]:
     m_policy = spec.params.get("m_policy", 1)
-    return ((f"n={n},m={m}", (n, m)) for n in range(spec.from_n, spec.to_n + 1)
+    return ((n, f"n={n},m={m}", (n, m)) for n in range(spec.from_n, spec.to_n + 1)
             for m in range(m_policy, n))
 
 
@@ -220,9 +227,9 @@ def _strong_top(spec: CheckSpec) -> int:
     return 2 * spec.to_n - 1
 
 
-def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
+def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[int, str, Tuple[int, int]]]:
     a_max = spec.params.get("a_max", spec.to_n)
-    return ((f"a={a},b={b}", (a, b)) for a in range(spec.from_n, a_max + 1)
+    return ((a, f"a={a},b={b}", (a, b)) for a in range(spec.from_n, a_max + 1)
             for b in range(a, spec.to_n + 1))
 
 
@@ -289,8 +296,10 @@ class Check:
 
     ``table_top(spec)`` is the highest index of pbar the spec reads (0 when
     the check reads no table) and raises ValueError on parameters the check
-    does not accept; ``subjects(spec)`` yields (label, subject) pairs in report
-    order; ``evaluate(table, subject)`` is exact or interval as ``exact`` says.
+    does not accept; ``subjects(spec)`` yields (sweep index, label, subject) in
+    report order, the index nondecreasing: n for an index or an (n, m) pair, a
+    for an (a, b) pair; ``evaluate(table, subject)`` is exact or interval as
+    ``exact`` says.
     """
 
     name: str
@@ -342,37 +351,49 @@ def table_requirement(spec: CheckSpec) -> int:
     return top
 
 
+def _tagged(position: int, subjects: Iterable) -> Iterable[tuple]:
+    return ((index, position, label, subject) for index, label, subject in subjects)
+
+
 def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
-    """Validate ``spec`` against its registry entry and ``table``, then sweep."""
-    needed = table_requirement(spec)
-    if needed and (table is None or needed > table.max_n):
-        have = "no table given" if table is None else f"table stops at {table.max_n}"
-        raise IndexError(f"{spec.name} needs pbar(0..{needed}), {have}")
-    check = CHECKS[spec.name]
-    rungs: Dict[int, KernelData] = {}  # one per precision, dropped on return
-
-    def kernel_data(bits: int) -> KernelData:
-        data = rungs.get(bits)
-        if data is None:
-            data = rungs[bits] = KernelData(bits)
-        return data
-
-    start = time.perf_counter()
-    items = []
-    for label, subject in check.subjects(spec):
-        value = check.evaluate(table, subject)
-        outcome = (_exact_outcome(value) if check.exact
-                   else _interval_outcome(value, spec.precision_bits, kernel_data))
-        items.append(CheckItem(spec.name, label, *outcome))
-    return CheckResult(spec=spec, items=items, wall_time=time.perf_counter() - start)
+    """The campaign of ``spec`` alone."""
+    return run_campaign(table, [spec])[0]
 
 
 def run_campaign(
     table: Optional[OverpartitionTable],
     specs: Sequence[CheckSpec],
 ) -> List[CheckResult]:
-    """Run checks in order."""
-    return [run_check(table, spec) for spec in specs]
+    """Validate every spec, then sweep all their subjects as one.
+
+    Subjects run in (sweep index, spec position) order, so the checks share
+    one :class:`KernelData` per precision rung, dropped on return.  Returns
+    one result per spec, in spec order, with its items in subject order; its
+    ``wall_time`` is the summed time of its own subjects.
+    """
+    for spec in specs:
+        needed = table_requirement(spec)
+        if needed and (table is None or needed > table.max_n):
+            have = "no table given" if table is None else f"table stops at {table.max_n}"
+            raise IndexError(f"{spec.name} needs pbar(0..{needed}), {have}")
+    checks = [CHECKS[spec.name] for spec in specs]
+    kernel_data = lru_cache(maxsize=None)(KernelData)
+    items: List[List[CheckItem]] = [[] for _ in specs]
+    seconds = [0.0] * len(specs)
+    streams = [_tagged(position, check.subjects(spec))
+               for position, (check, spec) in enumerate(zip(checks, specs))]
+    last = time.perf_counter()
+    for _, position, label, subject in heapq.merge(*streams):
+        check, spec = checks[position], specs[position]
+        value = check.evaluate(table, subject)
+        outcome = (_exact_outcome(value) if check.exact
+                   else _interval_outcome(value, spec.precision_bits, kernel_data))
+        items[position].append(CheckItem(spec.name, label, *outcome))
+        now = time.perf_counter()
+        seconds[position] += now - last
+        last = now
+    return [CheckResult(spec=spec, items=found, wall_time=elapsed)
+            for spec, found, elapsed in zip(specs, items, seconds)]
 
 
 # -- the paper's checks -------------------------------------------------------------

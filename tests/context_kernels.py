@@ -219,3 +219,36 @@ def turan_quadratic_roots(u, bits):
     ctx = context(bits)
     ui = rational(ctx, u)
     return tuple(interval(q(ctx, ui, sign), bits) for sign in (-1, +1))
+
+
+# -- the margin renderer --------------------------------------------------------------
+
+
+def _decimal_exponent(value: Fraction) -> int:
+    """floor(log10(value)) for positive rational ``value``, exactly."""
+    e = len(str(value.numerator)) - len(str(value.denominator))
+    while Fraction(10) ** e > value:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= value:
+        e += 1
+    return e
+
+
+def directed_decimal(value: Fraction, sig: int = 6, round_up: bool = False) -> str:
+    """The renderer in ``Fraction`` powers, as the package wrote it before it
+    moved to integer arithmetic: the reference its output must equal."""
+    if value == 0:
+        return "0"
+    neg = value < 0
+    v = -value if neg else value
+    e = _decimal_exponent(v)
+    scaled = v * Fraction(10) ** (sig - 1 - e)
+    n, d = scaled.numerator, scaled.denominator
+    magnitude_up = round_up != neg
+    q = -((-n) // d) if magnitude_up else n // d
+    if q >= 10 ** sig:
+        q //= 10
+        e += 1
+    digits = str(q)
+    mantissa = digits[0] + "." + digits[1:]
+    return ("-" if neg else "") + mantissa + f"e{e:+d}"

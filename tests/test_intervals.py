@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_floor
 from mpmath.libmp.libmpi import (
     mpi_add,
     mpi_div,
@@ -18,6 +19,7 @@ from mpmath.libmp.libmpi import (
     mpi_sub,
 )
 
+import context_kernels as oracle
 import overpart as op
 from overpart import CertifiedInterval, certify_sign
 from overpart import intervals as iv
@@ -200,6 +202,39 @@ def test_directed_decimal_property(value, sig, round_up):
     assert len(digits) == sig and digits[0] != "0"
     # Within one unit in the last printed place, so directed never means loose.
     assert abs(printed - value) < Fraction(10) ** (int(exponent) - sig + 1)
+
+
+def test_directed_decimal_needs_a_significant_digit():
+    # sig = 0 used to print '0.e+2' for 123.45, which is not a number.
+    for sig in (0, -1):
+        with pytest.raises(ValueError, match="significant digit"):
+            iv.directed_decimal(Fraction(12345, 100), sig)
+
+
+_wide_fractions = st.builds(
+    lambda num, den, exp: Fraction(num, den) * Fraction(10) ** exp,
+    st.integers(1, 10 ** 40) | st.integers(-10 ** 40, -1),
+    st.integers(1, 10 ** 40),
+    st.integers(-200, 200))
+
+# Raw 128-bit endpoints as the interval checks produce them, read exactly.
+_raw_endpoints = st.builds(
+    lambda man, exp, neg: iv.raw_to_fraction(from_man_exp(-man if neg else man, exp, 128,
+                                                          round_floor)),
+    st.integers(1, 2 ** 128 - 1), st.integers(-800, 700), st.booleans())
+
+
+@given(value=_wide_fractions | _raw_endpoints, sig=st.integers(1, 25), round_up=st.booleans())
+@example(value=Fraction(99999995, 10 ** 7), sig=7, round_up=True)  # carries to 1.000000e+1
+@example(value=Fraction(-99999995, 10 ** 7), sig=7, round_up=False)
+@example(value=Fraction(99999995, 10 ** 7), sig=7, round_up=False)
+@example(value=Fraction(-999, 10 ** 203), sig=2, round_up=False)  # carries to -1.0e-200
+@example(value=Fraction(10) ** 200, sig=1, round_up=True)  # exact powers of ten
+@example(value=Fraction(1, 10 ** 200), sig=25, round_up=False)
+@example(value=Fraction(1, 3), sig=1, round_up=True)
+def test_directed_decimal_matches_the_fraction_reference(value, sig, round_up):
+    assert (iv.directed_decimal(value, sig, round_up=round_up)
+            == oracle.directed_decimal(value, sig, round_up=round_up))
 
 
 def test_directed_decimal_tiny_margin_keeps_sign():

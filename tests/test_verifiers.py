@@ -26,6 +26,7 @@ from overpart import (
     run_campaign,
 )
 from overpart import ratio_bounds, verifiers
+from overpart.cli import DESK_SUITE
 from overpart.intervals import MAX_BITS
 from overpart.ratio_bounds import KernelData
 from overpart.verifiers import CHECK_NAMES, CHECKS, run_check, table_requirement
@@ -337,6 +338,62 @@ def test_run_campaign_empty(desk_table):
 def test_run_campaign_unknown_check(desk_table):
     with pytest.raises(ValueError):
         run_campaign(desk_table, [CheckSpec("no-such-check", 1, 2)])
+
+
+@pytest.mark.parametrize("interval_bits", (128, 8))  # 8: rungs climb inside the merged sweep
+def test_run_campaign_gives_the_items_of_separate_runs(desk_table, interval_bits):
+    specs = [dataclasses.replace(spec, to_n=min(spec.to_n, 400), precision_bits=(
+        spec.precision_bits if CHECKS[spec.name].exact else interval_bits))
+        for spec in DESK_SUITE]
+    merged = run_campaign(desk_table, specs)
+    assert [result.spec for result in merged] == specs
+    assert [result.items for result in merged] == [run_check(desk_table, spec).items
+                                                   for spec in specs]
+    if interval_bits == 8:
+        rungs = {item.precision_bits for result in merged for item in result.items}
+        assert {0, 8, 16, 32} <= rungs
+
+
+def test_envelope_checks_share_mu_and_envelope_data(desk_table, monkeypatch):
+    # One campaign of the three envelope checks over their desk ranges computes
+    # each mu(1..5616) once and each envelope member once: lower(2..5614) and
+    # upper(3..5615).
+    mu_calls, envelope_calls = [], []
+
+    def counting_mu(m, prec):
+        mu_calls.append(m)
+        return mu_mpi(m, prec)
+
+    def counting_envelope(prec, triple, signed):
+        envelope_calls.append((triple[1][0], signed))
+        return envelope(prec, triple, signed)
+
+    mu_mpi, envelope = ratio_bounds.mu_mpi, ratio_bounds._envelope
+    monkeypatch.setattr(ratio_bounds, "mu_mpi", counting_mu)
+    monkeypatch.setattr(ratio_bounds, "_envelope", counting_envelope)
+    specs = [spec for spec in DESK_SUITE if spec.name in ("fg-sandwich", "g-vs-f-shift", "f-vs-q")]
+    assert all(result.ok for result in run_campaign(desk_table, specs))
+    assert sorted(mu_calls) == list(range(1, 5617))
+    assert len(envelope_calls) == len(set(envelope_calls)) == 11226
+    assert sum(signed < 0 for _, signed in envelope_calls) == 5613
+
+
+def test_run_campaign_validates_every_spec_before_sweeping(desk_table, monkeypatch):
+    calls = []
+
+    def counting(table, n, check=CHECKS["log-concavity"]):
+        calls.append(n)
+        return check.evaluate(table, n)
+
+    monkeypatch.setitem(CHECKS, "log-concavity",
+                        dataclasses.replace(CHECKS["log-concavity"], evaluate=counting))
+    small = OverpartitionTable(desk_table.values[:12])
+    for bad in (CheckSpec("log-concavity", 0, 5), CheckSpec("higher-turan", 2, 10),
+                CheckSpec("strong-log-concavity", 2, 8, params={"m_policy": 3})):
+        with pytest.raises((IndexError, ValueError)):
+            run_campaign(small, [CheckSpec("log-concavity", 2, 10), bad])
+        assert calls == [], bad
+    assert len(run_campaign(small, [CheckSpec("log-concavity", 2, 10)])[0].items) == len(calls) == 9
 
 
 def test_check_spec_validation():
