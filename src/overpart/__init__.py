@@ -17,9 +17,8 @@ from .exact_core import (
     load_table,
     save_table,
 )
-from .intervals import CertifiedInterval, certify_sign
+from .intervals import CertifiedInterval
 from .asymptotics import (
-    RootOfUnity,
     SeriesParams,
     UndecidedRealError,
     main_term,
@@ -79,13 +78,11 @@ __all__ = [
     "LambdaTable",
     "MemoryBudgetError",
     "OverpartitionTable",
-    "RootOfUnity",
     "SeriesParams",
     "TableFormatError",
     "UndecidedRealError",
     "Verdict",
     "build_table",
-    "certify_sign",
     "check_delta2_log",
     "check_f_vs_q",
     "check_fg_sandwich",

@@ -73,24 +73,6 @@ class UndecidedRealError(Exception):
 # -- multiplier roots of unity ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(i pi * numerator/denominator), kept as its exact exponent in [0, 2)
-    (mod 2 normalization), so no rounding enters before the final cosine."""
-
-    numerator: int
-    denominator: int
-
-    @classmethod
-    def from_exponent(cls, turns: Fraction) -> "RootOfUnity":
-        turns = Fraction(turns) % 2
-        return cls(turns.numerator, turns.denominator)
-
-    @property
-    def exponent(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
 def sawtooth_exponent(h: int, k: int) -> Fraction:
     """The exact rational sum s(h,k) defining the multiplier's exponent.
 
@@ -103,23 +85,25 @@ def sawtooth_exponent(h: int, k: int) -> Fraction:
     return Fraction(total, 2 * k * k)
 
 
-def omega(h: int, k: int) -> RootOfUnity:
-    """Multiplier root of unity w(h,k); requires k >= 1, 0 <= h <= k coprime."""
+def omega(h: int, k: int) -> Fraction:
+    """Multiplier root of unity w(h,k) = exp(i pi * omega(h, k)), as its exact
+    exponent in [0, 2), so no rounding enters before the final cosine;
+    requires k >= 1, 0 <= h <= k coprime."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if not 0 <= h <= k:
         raise ValueError(f"h must lie in [0, {k}], got {h}")
     if gcd(h, k) != 1:
         raise ValueError(f"h and k must be coprime, got ({h}, {k})")
-    return RootOfUnity.from_exponent(sawtooth_exponent(h % k, k))
+    return sawtooth_exponent(h % k, k) % 2
 
 
 @lru_cache(maxsize=None)
-def series_multiplier(h: int, k: int) -> RootOfUnity:
-    """w(h,k)^2 / w(2h,k), again a root of unity (denominator divides 2k^2
-    for odd k), with exponent 2 s(h,k) - s(2h mod k, k) mod 2; 2h is reduced
-    mod k, which the sawtooth sum is periodic in."""
-    return RootOfUnity.from_exponent(2 * omega(h, k).exponent - omega((2 * h) % k, k).exponent)
+def series_multiplier(h: int, k: int) -> Fraction:
+    """w(h,k)^2 / w(2h,k), again a root of unity, as its exact exponent
+    2 s(h,k) - s(2h mod k, k) mod 2 (denominator divides 2k^2 for odd k); 2h
+    is reduced mod k, which the sawtooth sum is periodic in."""
+    return (2 * omega(h, k) - omega((2 * h) % k, k)) % 2
 
 
 # -- growth scale and series terms ----------------------------------------------
@@ -184,7 +168,7 @@ def _multiplier_exponents(n: int, k: int) -> Dict[Fraction, int]:
     for h in range(k):
         if gcd(h, k) != 1:
             continue
-        turns = (series_multiplier(h, k).exponent - Fraction(2 * n * h, k)) % 2
+        turns = (series_multiplier(h, k) - Fraction(2 * n * h, k)) % 2
         counts[turns] = counts.get(turns, 0) + 1
     return counts
 

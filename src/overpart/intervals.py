@@ -14,9 +14,11 @@ each formula's form on mpmath's interval context as a bit-for-bit oracle.
 libmpi accepts any precision, and below 2 bits it can loop without end, so
 every public entry checks its precision with :func:`check_precision` first.
 
-Sign queries follow an adaptive ladder: evaluate at a starting precision
-(128 bits by default), double until the interval separates from zero, and
-report "undecided" past ``MAX_BITS`` instead of guessing.
+Every sign in the package is read by one step, :func:`precision_ladder`:
+evaluate a list of gaps (endpoint tuples) at a starting precision (128 bits
+by default), double until one gap is certified negative or all are certified
+positive, and leave the rest to the caller to report as "undecided" past
+``MAX_BITS`` instead of guessing.
 
 Derived scalar facts about an interval (width, midpoint, containment)
 are computed in exact rational arithmetic so that no additional rounding can
@@ -27,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
-from mpmath.libmp import finf, fninf, from_int, round_ceiling, round_floor
+from mpmath.libmp import (
+    ComplexResult, finf, fninf, from_int, mpf_sign, round_ceiling, round_floor)
 from mpmath.libmp.libmpi import (
     mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_one, mpi_pi, mpi_sub)
 
@@ -38,7 +41,6 @@ DEFAULT_BITS = 128
 MAX_BITS = 8192
 
 Rational = Union[int, Fraction]
-T = TypeVar("T")
 
 
 def check_precision(bits: int) -> int:
@@ -199,47 +201,30 @@ def cos_half_turns_mpi(turns: Fraction, prec: int):
 
 
 def precision_ladder(
-    evaluate: Callable[[int], T],
-    settled: Callable[[T], bool],
+    gaps_at: Callable[[int], List[tuple]],
     start_bits: int = DEFAULT_BITS,
-) -> Tuple[int, T]:
-    """Evaluate at ``start_bits`` and double the precision until ``settled``
-    accepts the result or ``MAX_BITS`` is reached.
+) -> Tuple[int, Optional[List[tuple]]]:
+    """The one certify step: evaluate the endpoint tuples ``gaps_at(bits)``
+    at ``start_bits`` and double the precision until their sign is settled,
+    that is one gap is certified negative or every gap certified positive, or
+    ``MAX_BITS`` is reached.
 
-    Returns the last precision and its result; the caller reads an unsettled
-    result at the cap as undecided.
+    A rung at which an enclosure leaves a square root's domain (mpmath's
+    ComplexResult) is unsettled, so the ladder climbs past it.  Returns the
+    last precision and its gaps, None when that rung raised; the caller reads
+    an unsettled result at the cap as undecided.
     """
     bits = start_bits
     while True:
-        value = evaluate(bits)
-        if settled(value) or bits >= MAX_BITS:
-            return bits, value
+        try:
+            gaps = gaps_at(bits)
+        except ComplexResult:
+            gaps = None
+        settled = gaps is not None and (any(mpf_sign(hi) < 0 for _, hi in gaps)
+                                        or all(mpf_sign(lo) > 0 for lo, _ in gaps))
+        if settled or bits >= MAX_BITS:
+            return bits, gaps
         bits = min(2 * bits, MAX_BITS)
-
-
-def _sign(gap: CertifiedInterval) -> Optional[int]:
-    if gap.is_positive():
-        return 1
-    if gap.is_negative():
-        return -1
-    if gap.lo == 0 and gap.hi == 0:
-        return 0
-    return None
-
-
-def certify_sign(
-    gap_at: Callable[[int], CertifiedInterval],
-    start_bits: int = DEFAULT_BITS,
-) -> tuple[Optional[int], CertifiedInterval]:
-    """Resolve the sign of an interval-valued expression.
-
-    ``gap_at(bits)`` must re-evaluate the same expression at the given
-    precision.  Returns ``(+1 | -1 | 0, witness)`` on success; ``0`` only for
-    an exactly-zero interval.  Returns ``(None, witness)`` when the sign still
-    straddles zero at ``MAX_BITS``.
-    """
-    _, gap = precision_ladder(gap_at, lambda g: _sign(g) is not None, start_bits)
-    return _sign(gap), gap
 
 
 # -- directed decimal rendering ------------------------------------------------

@@ -18,14 +18,15 @@ the subjects of all specs as one, in (sweep index, spec position) order;
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
-outward-rounded ``libmpi`` endpoint tuples, and signs are read straight off
-those endpoints; the tests keep each formula's interval-context form as a
-bit-for-bit oracle.  A campaign gets one
+outward-rounded ``libmpi`` endpoint tuples, and every sign, the lambda
+bisection's included, is read off those endpoints by the one certify step
+:func:`~overpart.intervals.precision_ladder`; margins are picked among the raw
+endpoints and rendered directed.  The tests keep each formula's
+interval-context form as a bit-for-bit oracle.  A campaign gets one
 :class:`~overpart.ratio_bounds.KernelData` per precision rung, shared by all
 its checks, so the envelope checks at one index compute mu, the envelope and
 the window once between them; it is dropped when :func:`run_campaign`
-returns.  A rung at which an enclosure leaves a square root's domain is read
-as unsettled, so the ladder climbs past it.
+returns.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from mpmath import mp
-from mpmath.libmp import ComplexResult, mpf_sign
+from mpmath.libmp import mpf_cmp, mpf_sign
 from mpmath.libmp.libmpi import (
     mpi_add,
     mpi_div,
@@ -54,14 +54,12 @@ from mpmath.libmp.libmpi import (
 from .exact_core import OverpartitionTable
 from .intervals import (
     DEFAULT_BITS,
+    MAX_BITS,
     CertifiedInterval,
-    certify_sign,
     check_precision,
-    directed_decimal,
     int_mpi,
     precision_ladder,
     rational_mpi,
-    raw_to_fraction,
     render_endpoint,
 )
 from .ratio_bounds import (
@@ -102,9 +100,9 @@ class CheckSpec:
             raise ValueError(f"{self.name} takes no parameter {', '.join(map(repr, foreign))}")
         if self.from_n > self.to_n:
             raise ValueError(f"empty range {self.from_n}..{self.to_n}")
-        if not isinstance(self.precision_bits, int) or self.precision_bits < 2:
+        if not isinstance(self.precision_bits, int) or not 2 <= self.precision_bits <= MAX_BITS:
             raise ValueError(
-                f"precision_bits must be an integer of at least 2, got {self.precision_bits!r}")
+                f"precision_bits must be an integer in 2..{MAX_BITS}, got {self.precision_bits!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,38 +165,25 @@ def _exact_outcome(value: int) -> Tuple[Verdict, str, int]:
     return verdict, str(value), 0
 
 
-def _settled(gaps: Optional[List[tuple]]) -> bool:
-    return gaps is not None and (any(mpf_sign(hi) < 0 for _, hi in gaps)
-                                 or all(mpf_sign(lo) > 0 for lo, _ in gaps))
+_mpf_order = cmp_to_key(mpf_cmp)
 
 
 def _interval_outcome(gaps_at: Callable, start_bits: int,
                       kernel_data: Callable[[int], KernelData]) -> Tuple[Verdict, str, int]:
     """Certify that every gap ``gaps_at(kernel_data(bits))`` returns is
     positive; fails on any certified negative gap, undecided when the ladder's
-    cap is reached with neither.
-
-    A rung whose enclosures leave a square root's domain (mpmath's
-    ComplexResult) is unsettled, so the ladder climbs; at the cap that reads
-    as undecided with an unbounded margin.
-    """
-    def evaluate(bits: int) -> Optional[List[tuple]]:
-        try:
-            return gaps_at(kernel_data(bits))
-        except ComplexResult:
-            return None
-
-    bits, gaps = precision_ladder(evaluate, _settled, start_bits)
+    cap is reached with neither, with an unbounded margin when the last rung
+    left a square root's domain.  The margin is the extreme endpoint, picked
+    among the raw endpoints and rendered directed."""
+    bits, gaps = precision_ladder(lambda bits: gaps_at(kernel_data(bits)), start_bits)
     if gaps is None:
         return Verdict.UNDECIDED, "-inf..+inf", bits
     negative = [hi for _, hi in gaps if mpf_sign(hi) < 0]
     if negative:
-        worst = min(raw_to_fraction(hi) for hi in negative)
-        return Verdict.FAILS, directed_decimal(worst, round_up=True), bits
-    if all(mpf_sign(lo) > 0 for lo, _ in gaps):
-        margin = min(raw_to_fraction(lo) for lo, _ in gaps)
-        return Verdict.HOLDS, directed_decimal(margin, round_up=False), bits
-    lo, hi = min((g for g in gaps if mpf_sign(g[0]) <= 0), key=lambda g: mp.make_mpf(g[0]))
+        return Verdict.FAILS, render_endpoint(min(negative, key=_mpf_order), round_up=True), bits
+    lo, hi = min(gaps, key=lambda gap: _mpf_order(gap[0]))
+    if mpf_sign(lo) > 0:
+        return Verdict.HOLDS, render_endpoint(lo, round_up=False), bits
     margin = render_endpoint(lo, round_up=False) + ".." + render_endpoint(hi, round_up=True)
     return Verdict.UNDECIDED, margin, bits
 
@@ -538,10 +523,14 @@ def pair_threshold_gap(a: int, lam: Fraction, precision_bits: int = DEFAULT_BITS
 
 
 def _threshold_sign(a: int, lam: Fraction) -> int:
-    sign, _ = certify_sign(lambda bits: pair_threshold_gap(a, lam, bits))
-    if sign is None or sign == 0:
-        raise BracketError(f"threshold gap sign undecided at a={a}, lambda={lam}")
-    return sign
+    _, gaps = precision_ladder(lambda bits: [pair_threshold_gap(a, lam, bits).mpi])
+    if gaps is not None:
+        (lo, hi), = gaps
+        if mpf_sign(lo) > 0:
+            return 1
+        if mpf_sign(hi) < 0:
+            return -1
+    raise BracketError(f"threshold gap sign undecided at a={a}, lambda={lam}")
 
 
 _LAMBDA_WIDTH = Fraction(9, 10 ** 7)  # bisection's last bracket, below LambdaTable's 1e-6

@@ -11,11 +11,16 @@ The context also gives the tests their interval arithmetic: :func:`ival`
 lifts a ``CertifiedInterval`` into the context at its precision, where
 mpmath's operators and functions apply, and :func:`interval` brings a result
 back.
+
+It also keeps the package's earlier readers as references: the margin
+renderer in ``Fraction`` powers, and the reading of a check's gaps into a
+verdict and margin through ``Fraction`` minima.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
 
 from overpart import CertifiedInterval
@@ -252,3 +257,34 @@ def directed_decimal(value: Fraction, sig: int = 6, round_up: bool = False) -> s
     digits = str(q)
     mantissa = digits[0] + "." + digits[1:]
     return ("-" if neg else "") + mantissa + f"e{e:+d}"
+
+
+# -- the verdict reader ----------------------------------------------------------------
+
+
+def _fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(int(man)) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def _endpoint(x, round_up: bool) -> str:
+    if mp.isinf(x):
+        return "-inf" if x < 0 else "+inf"
+    return directed_decimal(_fraction(x), round_up=round_up)
+
+
+def interval_outcome(gaps):
+    """(verdict, margin) of a check's last gaps, raw endpoint tuples, as the
+    package read them before it picked endpoints among raw tuples: the
+    ``Fraction`` minimum of the negative upper or the positive lower
+    endpoints, else the undecided ``lo..hi`` of the gap with the lowest lower
+    endpoint."""
+    values = [(mp.make_mpf(lo), mp.make_mpf(hi)) for lo, hi in gaps]
+    negative = [_fraction(hi) for _, hi in values if hi < 0]
+    if negative:
+        return "fails", directed_decimal(min(negative), round_up=True)
+    if all(lo > 0 for lo, _ in values):
+        return "holds", directed_decimal(min(_fraction(lo) for lo, _ in values))
+    lo, hi = min((gap for gap in values if gap[0] <= 0), key=lambda gap: gap[0])
+    return "undecided", _endpoint(lo, False) + ".." + _endpoint(hi, True)

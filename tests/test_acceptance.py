@@ -324,7 +324,7 @@ def test_criterion_10_property_suites(desk_table):
             total += Fraction(r, k) * (Fraction(h * r, k) - (h * r) // k - Fraction(1, 2))
         return total % 2
 
-    exact = all(omega(h, k).exponent == oracle(h, k)
+    exact = all(omega(h, k) == oracle(h, k)
                 for k in range(1, 26) for h in range(k) if gcd(h, k) == 1)
 
     # (c) truncated-exponential sandwich on 100 negative samples

@@ -213,9 +213,10 @@ def test_verify_m_policy_flag(capsys):
 def test_verify_range_and_bits_usage_errors(capsys):
     for argv in (("log-concavity", "--from", "0", "--to", "5"),
                  ("fg-sandwich", "--from", "1", "--to", "5"),
-                 ("delta2-log", "--from", "2", "--to", "5", "--bits", "1")):
+                 ("delta2-log", "--from", "2", "--to", "5", "--bits", "1"),
+                 ("delta2-log", "--from", "2", "--to", "5", "--bits", "8193")):
         assert run_cli("verify", "--check", *argv) == EXIT_USAGE, argv
-    assert capsys.readouterr().err.count("error:") == 3
+    assert capsys.readouterr().err.count("error:") == 4
 
 
 def test_verify_multiplicative_range_bounds_a_and_b(capsys):

@@ -21,7 +21,7 @@ from mpmath.libmp.libmpi import (
 
 import context_kernels as oracle
 import overpart as op
-from overpart import CertifiedInterval, certify_sign
+from overpart import CertifiedInterval
 from overpart import intervals as iv
 
 
@@ -140,20 +140,33 @@ def test_pi_interval():
     assert Fraction(314159, 100000) < pi.lo_fraction()
 
 
-def test_certify_sign_resolves():
+def test_precision_ladder_certifies_either_sign():
     tiny = Fraction(1, 10 ** 50)
-    sign, witness = certify_sign(lambda bits: CertifiedInterval.from_fraction(tiny, bits))
-    assert sign == 1 and witness.is_positive()
-    sign, _ = certify_sign(lambda bits: CertifiedInterval.from_fraction(-tiny, bits))
-    assert sign == -1
+    bits, gaps = iv.precision_ladder(lambda bits: [iv.rational_mpi(tiny, bits)])
+    assert bits == 128 and CertifiedInterval.from_mpi(gaps[0], bits).is_positive()
+    bits, gaps = iv.precision_ladder(lambda bits: [iv.rational_mpi(-tiny, bits)])
+    assert bits == 128 and CertifiedInterval.from_mpi(gaps[0], bits).is_negative()
+    # One certified negative gap settles a list; a positive one needs them all.
+    bits, _ = iv.precision_ladder(lambda bits: [iv.rational_mpi(tiny, bits),
+                                                iv.rational_mpi(-tiny, bits),
+                                                _spanning(-1, 1, bits)])
+    assert bits == 128
 
 
-def test_certify_sign_zero_and_undecided():
-    sign, _ = certify_sign(lambda bits: CertifiedInterval.from_fraction(0, bits))
-    assert sign == 0
-    sign, witness = certify_sign(lambda bits: CertifiedInterval.from_pair(-1, 1, bits))
-    assert sign is None
-    assert witness.contains_zero()
+def _spanning(lo, hi, bits):
+    return iv.rational_mpi(lo, bits)[0], iv.rational_mpi(hi, bits)[1]
+
+
+def test_precision_ladder_reads_undecided_at_the_cap():
+    rungs = []
+
+    def gaps_at(bits):
+        rungs.append(bits)
+        return [iv.rational_mpi(1, bits), _spanning(-1, 1, bits)]
+
+    bits, gaps = iv.precision_ladder(gaps_at)
+    assert bits == iv.MAX_BITS and rungs == [128, 256, 512, 1024, 2048, 4096, 8192]
+    assert CertifiedInterval.from_mpi(gaps[1], bits).contains_zero()
 
 
 def test_mpf_fraction_round_trip():

@@ -3,7 +3,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath.libmp import ComplexResult, finf, fninf, from_int
 
@@ -25,9 +25,10 @@ from overpart import (
     pair_threshold_gap,
     run_campaign,
 )
+import context_kernels as oracle
 from overpart import ratio_bounds, verifiers
 from overpart.cli import DESK_SUITE
-from overpart.intervals import MAX_BITS
+from overpart.intervals import MAX_BITS, rational_mpi
 from overpart.ratio_bounds import KernelData
 from overpart.verifiers import CHECK_NAMES, CHECKS, run_check, table_requirement
 
@@ -262,6 +263,28 @@ def test_ladder_lets_other_errors_propagate(monkeypatch):
         check_g_vs_f_shift(None, 2, 2)
 
 
+# Rationals of either sign, zero included, over a wide range of magnitudes.
+_rationals = st.builds(lambda num, den, exp: Fraction(num, den) * Fraction(10) ** exp,
+                       st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20),
+                       st.integers(-40, 40))
+
+
+def _gap(lo, hi):
+    """The gap [lo, hi] with rational_mpi's 128-bit endpoints, rounded outward."""
+    lo, hi = sorted((lo, hi))
+    return rational_mpi(lo, 128)[0], rational_mpi(hi, 128)[1]
+
+
+@given(gaps=st.lists(st.builds(_gap, _rationals, _rationals), min_size=1, max_size=3))
+@example(gaps=[_gap(-3, -2), _gap(1, 2), _gap(-5, Fraction(-1, 7))])  # two negative gaps
+@example(gaps=[_gap(Fraction(1, 3), 1), _gap(Fraction(1, 3), 2)])  # tied lower endpoints
+@example(gaps=[_gap(1, 2), _gap(0, 0), _gap(-1, 1)])  # an exact zero and a straddle
+def test_interval_reader_matches_the_fraction_reference(gaps):
+    verdict, margin, bits = verifiers._interval_outcome(lambda data: gaps, 128, lambda bits: None)
+    assert (str(verdict), margin) == oracle.interval_outcome(gaps)
+    assert bits == (MAX_BITS if verdict is Verdict.UNDECIDED else 128)
+
+
 def test_kernel_data_is_a_window_freed_with_the_run(monkeypatch):
     # A long sweep computes each mu once, holds a fixed number of indices per
     # rung, and leaves no reference to its kernel data once run_check returns.
@@ -305,6 +328,14 @@ def test_lambda_table_digit_prefixes(lambda_table):
         assert interval.width_fraction() <= Fraction(1, 10 ** 6)
         assert prefix <= interval.lo_fraction()
         assert interval.hi_fraction() < prefix + Fraction(1, 1000)
+    brackets = {a: (interval.lo_fraction(), interval.hi_fraction())
+                for a, interval in lambda_table.entries.items()}
+    assert brackets == {
+        2: (Fraction(63570021, 8388608), Fraction(15892507, 2097152)),
+        3: (Fraction(5381567, 2097152), Fraction(10763137, 4194304)),
+        4: (Fraction(1625979, 1048576), Fraction(3251959, 2097152)),
+        5: (Fraction(292975, 262144), Fraction(2343801, 2097152)),
+    }
 
 
 def test_lambda_table_certified_bracketing(lambda_table):
@@ -401,9 +432,10 @@ def test_check_spec_validation():
         CheckSpec("log-concavity", 5, 2)
     with pytest.raises(ValueError):
         CheckSpec("fuzzy", 2, 5)
-    for bits in (1, 0, 128.0):
+    for bits in (1, 0, 128.0, MAX_BITS + 1):
         with pytest.raises(ValueError):
             CheckSpec("log-concavity", 2, 5, precision_bits=bits)
+    CheckSpec("log-concavity", 2, 5, precision_bits=MAX_BITS)
     with pytest.raises(ValueError):  # the removed positional mode argument
         CheckSpec("log-concavity", 2, 5, "exact")
 
