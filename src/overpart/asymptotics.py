@@ -24,7 +24,14 @@ every miss.
 
 Truncating the series at odd cutoff N leaves an error R(n, N) with the
 explicit bound |R| <= N^{5/2}/(n mu) * sinh(mu/N), and a slightly tightened
-variant subtracting the linear sinh term.  The closed k = 1 term
+variant subtracting the linear sinh term.  The truncation and its bound are
+read as a pair, so they share one evaluation point: sqrt(n) and mu(n) per
+(n, bits), with 2 n^{3/2} built from the same sqrt(n), and (mu/k, cosh, sinh)
+per (n, k, bits), which the k-th term and the bound at cutoff k both read;
+N^{5/2} is kept per (N, bits).  Each memo holds ``_POINT_MEMO`` entries, so a
+sweep over n keeps a fixed size, and each value is computed in its one
+operation order, so either call order gives the same endpoints.  The closed
+k = 1 term
 
     (1/8n) [ (1 + 1/mu) e^{-mu} + (1 - 1/mu) e^{mu} ]
 
@@ -49,7 +56,6 @@ from mpmath.libmp.libmpi import (
     mpi_exp,
     mpi_mul,
     mpi_one,
-    mpi_pi,
     mpi_pow_int,
     mpi_sqrt,
     mpi_sub,
@@ -63,7 +69,14 @@ from .intervals import (
     cos_half_turns_mpi,
     cosh_sinh_mpi,
     int_mpi,
+    pi_mpi,
 )
+
+# Entries each evaluation-point memo keeps: enough for a truncation at any
+# cutoff below 256 and its bound to share cosh/sinh(mu/N) in either call
+# order, and fixed however long a sweep runs.
+_POINT_MEMO = 128
+
 
 class UndecidedRealError(Exception):
     """A multiplier sum's exponent multiset is not conjugate-symmetric, so the
@@ -74,15 +87,20 @@ class UndecidedRealError(Exception):
 
 
 def sawtooth_exponent(h: int, k: int) -> Fraction:
-    """The exact rational sum s(h,k) defining the multiplier's exponent.
+    """The exact rational sum s(h,k) defining the multiplier's exponent, for
+    coprime 0 <= h < k (``omega`` enforces coprimality; s(0, 1) = 0).
 
-    Computed over the common denominator 2k^2:
-    s(h,k) = sum_r r (2 (hr mod k) - k) / (2 k^2).
+    Dedekind reciprocity, s(h,k) + s(k,h) = (h^2 + k^2 + 1)/(12hk) - 1/4,
+    with s(k,h) = s(k mod h, h), runs Euclid's algorithm on (h, k): O(log k)
+    steps on an integer numerator and denominator, and one Fraction at the end.
     """
-    total = 0
-    for r in range(1, k):
-        total += r * (2 * ((h * r) % k) - k)
-    return Fraction(total, 2 * k * k)
+    num, den, sign = 0, 1, 1
+    while h:
+        step = 12 * h * k
+        num = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den
+        den *= step
+        h, k, sign = k % h, h, -sign
+    return Fraction(num, den)
 
 
 def omega(h: int, k: int) -> Fraction:
@@ -116,20 +134,35 @@ def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     return CertifiedInterval.from_mpi(mu_mpi(n, check_precision(precision_bits)), precision_bits)
 
 
+@lru_cache(maxsize=_POINT_MEMO)
+def _sqrt_and_mu_mpi(n: int, prec: int):
+    """(sqrt n, mu(n) = pi sqrt n) at ``prec`` bits: the evaluation point."""
+    sqrt_n = mpi_sqrt(int_mpi(n, prec), prec)
+    return sqrt_n, mpi_mul(pi_mpi(prec), sqrt_n, prec)
+
+
 def mu_mpi(n: int, prec: int):
     """pi sqrt(n) as an endpoint tuple at ``prec`` bits."""
-    return mpi_mul(mpi_pi(prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
+    return _sqrt_and_mu_mpi(n, prec)[1]
+
+
+@lru_cache(maxsize=_POINT_MEMO)
+def _cosh_sinh_at_mpi(n: int, k: int, prec: int):
+    """(mu/k, cosh(mu/k), sinh(mu/k)) at n: read by the k-th term and by the
+    tail bound at cutoff k."""
+    arg = mpi_div(mu_mpi(n, prec), int_mpi(k, prec), prec)
+    return (arg,) + cosh_sinh_mpi(arg, prec)
 
 
 def _term_derivatives_mpi(n: int, ks, prec: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
     #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k), for each k in ks;
-    # mu and 2 n^{3/2} are shared by every k.
-    m = mu_mpi(n, prec)
-    two_n_sqrt_n = mpi_mul(int_mpi(2 * n, prec), mpi_sqrt(int_mpi(n, prec), prec), prec)
+    # 2 n^{3/2} is built from mu's sqrt(n) and shared by every k.
+    two_n_sqrt_n = mpi_mul(int_mpi(2 * n, prec), _sqrt_and_mu_mpi(n, prec)[0], prec)
+    pi = pi_mpi(prec)
     for k in ks:
-        cosh, sinh = cosh_sinh_mpi(mpi_div(m, int_mpi(k, prec), prec), prec)
-        first = mpi_mul(mpi_div(mpi_pi(prec), int_mpi(2 * k * n, prec), prec), cosh, prec)
+        _, cosh, sinh = _cosh_sinh_at_mpi(n, k, prec)
+        first = mpi_mul(mpi_div(pi, int_mpi(2 * k * n, prec), prec), cosh, prec)
         yield mpi_sub(first, mpi_div(sinh, two_n_sqrt_n, prec), prec)
 
 
@@ -201,8 +234,15 @@ def _multiplier_sum_mpi(n: int, k: int, prec: int):
 @lru_cache(maxsize=None)
 def _series_scale_mpi(k: int, prec: int):
     """The scale sqrt(k) / (2 pi) of the k-th term, as an endpoint tuple."""
-    two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
+    two_pi = mpi_mul(int_mpi(2, prec), pi_mpi(prec), prec)
     return mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
+
+
+@lru_cache(maxsize=_POINT_MEMO)
+def _cutoff_power_mpi(N: int, prec: int):
+    """N^{5/2}, the tail bound's factor at cutoff N, as sqrt(N) N N."""
+    big_n = int_mpi(N, prec)
+    return mpi_mul(mpi_mul(mpi_sqrt(big_n, prec), big_n, prec), big_n, prec)
 
 
 def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
@@ -259,14 +299,11 @@ def truncation_error_bound(
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
     prec = check_precision(precision_bits)
-    m = mu_mpi(n, prec)
-    arg = mpi_div(m, int_mpi(N, prec), prec)
-    _, body = cosh_sinh_mpi(arg, prec)
+    arg, _, body = _cosh_sinh_at_mpi(n, N, prec)
     if tightened:
         body = mpi_sub(body, arg, prec)
-    big_n = int_mpi(N, prec)
-    factor = mpi_mul(mpi_mul(mpi_sqrt(big_n, prec), big_n, prec), big_n, prec)
-    value = mpi_div(mpi_mul(factor, body, prec), mpi_mul(int_mpi(n, prec), m, prec), prec)
+    n_mu = mpi_mul(int_mpi(n, prec), mu_mpi(n, prec), prec)
+    value = mpi_div(mpi_mul(_cutoff_power_mpi(N, prec), body, prec), n_mu, prec)
     return CertifiedInterval.from_mpi(value, prec)
 
 

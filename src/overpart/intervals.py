@@ -14,6 +14,11 @@ each formula's form on mpmath's interval context as a bit-for-bit oracle.
 libmpi accepts any precision, and below 2 bits it can loop without end, so
 every public entry checks its precision with :func:`check_precision` first.
 
+pi is computed once per precision (:func:`pi_mpi`).  cosh and sinh share one
+exponential, and halve e^x +- e^-x by an exponent shift: those endpoints
+already carry at most the working precision's bits, so the shift is exact
+and gives the endpoints an interval division by 2 would.
+
 Every sign in the package is read by one step, :func:`precision_ladder`:
 evaluate a list of gaps (endpoint tuples) at a starting precision (128 bits
 by default), double until one gap is certified negative or all are certified
@@ -29,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
 from mpmath.libmp import (
-    ComplexResult, finf, fninf, from_int, mpf_sign, round_ceiling, round_floor)
+    ComplexResult, finf, fninf, from_int, mpf_shift, mpf_sign, round_ceiling, round_floor)
 from mpmath.libmp.libmpi import (
     mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_mul, mpi_one, mpi_pi, mpi_sub)
 
@@ -172,16 +178,28 @@ class CertifiedInterval:
 
 # -- elementary functions ---------------------------------------------------
 
-_TWO = int_mpi(2, 2)
+
+@lru_cache(maxsize=16)
+def pi_mpi(prec: int):
+    """pi as an endpoint tuple at ``prec`` bits, computed once per precision."""
+    return mpi_pi(prec)
+
+
+def _half_mpi(x):
+    """x / 2 by an exponent shift of each endpoint: exact, and equal to the
+    interval division, for endpoints of at most the working precision's bits
+    (zero and infinities pass through unchanged)."""
+    lo, hi = x
+    return mpf_shift(lo, -1), mpf_shift(hi, -1)
 
 
 def cosh_sinh_mpi(x, prec: int):
     """(cosh x, sinh x) of an endpoint tuple, both composed from one
-    exponential; rounds outward."""
+    exponential; rounds outward.  The sum and difference e^x +- e^-x are
+    rounded to ``prec`` bits, so halving them is exact."""
     e = mpi_exp(x, prec)
     inverse = mpi_div(mpi_one, e, prec)
-    return (mpi_div(mpi_add(e, inverse, prec), _TWO, prec),
-            mpi_div(mpi_sub(e, inverse, prec), _TWO, prec))
+    return _half_mpi(mpi_add(e, inverse, prec)), _half_mpi(mpi_sub(e, inverse, prec))
 
 
 def cos_half_turns_mpi(turns: Fraction, prec: int):
@@ -193,7 +211,7 @@ def cos_half_turns_mpi(turns: Fraction, prec: int):
         return int_mpi(-1, prec)
     if turns.denominator == 2:  # turns in {1/2, 3/2}
         return int_mpi(0, prec)
-    angle = mpi_mul(mpi_pi(prec), int_mpi(turns.numerator, prec), prec)
+    angle = mpi_mul(pi_mpi(prec), int_mpi(turns.numerator, prec), prec)
     return mpi_cos(mpi_div(angle, int_mpi(turns.denominator, prec), prec), prec)
 
 

@@ -63,6 +63,16 @@ def log(x: CertifiedInterval) -> CertifiedInterval:
     return _unary(x, "log")
 
 
+def sawtooth_exponent(h, k):
+    """s(h,k) = sum_r r (2 (hr mod k) - k) / (2 k^2), the defining sum over the
+    common denominator 2k^2, in O(k) steps: the reference for the package's
+    reciprocity form."""
+    total = 0
+    for r in range(1, k):
+        total += r * (2 * ((h * r) % k) - k)
+    return Fraction(total, 2 * k * k)
+
+
 def rational(ctx, value):
     value = Fraction(value)
     return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
@@ -110,13 +120,20 @@ def multiplier_sum(ctx, n, k):
     return real
 
 
-def truncation(ctx, n, N):
+def partial_truncations(ctx, n, N):
+    """The truncation at each odd cutoff k = 1, 3, ..., N in turn, each the
+    sum of the one before and its k-th term."""
     total = ctx.mpf(0)
     for k in range(1, N + 1, 2):
         real = multiplier_sum(ctx, n, k)
         deriv = term_derivative(ctx, n, k)
         scale = ctx.sqrt(ctx.mpf(k)) / (2 * ctx.pi)
         total += scale * real * deriv
+        yield total
+
+
+def truncation(ctx, n, N):
+    *_, total = partial_truncations(ctx, n, N)
     return total
 
 

@@ -19,8 +19,9 @@ from overpart import (
     simple_bounds,
     truncation_error_bound,
 )
+from overpart import asymptotics
 from overpart import intervals as iv
-from overpart.asymptotics import _multiplier_exponents
+from overpart.asymptotics import _multiplier_exponents, sawtooth_exponent
 
 
 def sawtooth_oracle(h: int, k: int) -> Fraction:
@@ -52,6 +53,17 @@ def test_omega_against_oracle_all_k_to_25():
             if gcd(h, k) != 1:
                 continue
             assert omega(h, k) == sawtooth_oracle(h, k) % 2, (h, k)
+
+
+def test_sawtooth_reciprocity_matches_the_defining_sum():
+    # Every coprime 0 <= h < k for every odd k <= 301: 18,485 pairs.
+    pairs = 0
+    for k in range(1, 302, 2):
+        for h in range(k):
+            if gcd(h, k) == 1:
+                assert sawtooth_exponent(h, k) == oracle.sawtooth_exponent(h, k), (h, k)
+                pairs += 1
+    assert pairs == 18485
 
 
 def test_omega_preconditions():
@@ -260,6 +272,55 @@ def test_tightened_gap_is_linear_term():
     gap = oracle.interval(oracle.ival(plain) - oracle.ival(tight), 192)
     explicit = oracle.interval(ctx.sqrt(27) / 9, 192)
     assert gap.intersects(explicit)
+
+
+# The evaluation-point memos: each is keyed on its precision, so calls at
+# interleaved precisions, in either order of truncation and bound, must each
+# give the oracle's endpoints.
+POINT_MEMOS = (asymptotics._sqrt_and_mu_mpi, asymptotics._cosh_sinh_at_mpi,
+               asymptotics._cutoff_power_mpi, iv.pi_mpi)
+POINT_N = 1737
+POINT_BITS = (53, 8192, 128, 1024, 256)
+POINT_CUTOFFS = range(1, 40)
+
+
+@pytest.fixture(scope="module")
+def point_oracle():
+    """(truncation, plain bound, tightened bound) of the oracle at POINT_N
+    per (cutoff, bits)."""
+    expected = {}
+    for bits in POINT_BITS:
+        ctx = oracle.context(bits)
+        partial = list(oracle.partial_truncations(ctx, POINT_N, max(POINT_CUTOFFS)))
+        for N in POINT_CUTOFFS:
+            expected[N, bits] = (partial[(N - 1) // 2]._mpi_,
+                                 *(oracle.truncation_error_bound(ctx, POINT_N, N, tightened)._mpi_
+                                   for tightened in (False, True)))
+    return expected
+
+
+@pytest.mark.parametrize("bound_first", (False, True))
+def test_shared_evaluation_point_is_order_independent(bound_first, point_oracle):
+    assert all(memo.cache_info().maxsize is not None for memo in POINT_MEMOS)
+    for memo in POINT_MEMOS:
+        memo.cache_clear()
+    for N in POINT_CUTOFFS:
+        for bits in POINT_BITS:
+            def truncation():
+                return rademacher_truncation(SeriesParams(POINT_N, N, bits)).mpi
+
+            def bounds():
+                return tuple(truncation_error_bound(POINT_N, N, tightened=tightened,
+                                                   precision_bits=bits).mpi
+                             for tightened in (False, True))
+
+            if bound_first:
+                plain, tight = bounds()
+                total = truncation()
+            else:
+                total = truncation()
+                plain, tight = bounds()
+            assert (total, plain, tight) == point_oracle[N, bits], (N, bits)
 
 
 def test_truncation_within_error_bound_spot(desk_table):

@@ -255,6 +255,50 @@ def test_load_out_of_order_records(tmp_path):
         load_table(path)
 
 
+def _write_checksummed(path, header, records):
+    """A table file of ``header`` and ``records`` with a recomputed checksum,
+    so only the format checks can reject it."""
+    payload = "".join(line + "\n" for line in [header, *records]).encode()
+    path.write_bytes(payload + f"#sha256 {hashlib.sha256(payload).hexdigest()}\n".encode())
+
+
+ORACLE_RECORDS = [f"{n}\t{v}" for n, v in enumerate(ORACLE_SMALL)]
+
+
+# Forms save_table never writes (int() accepts most of them), put in record n = 1.
+@pytest.mark.parametrize("record", ["1\t2_0", "1\t +2", "1\t+2", "1\t-2", "01\t2",
+                                    "1\t02", "1\t2 ", " 1\t2", "1_\t2", "1\t2\t"])
+def test_load_rejects_records_that_are_not_plain_decimals(record, tmp_path):
+    path = tmp_path / "t.tbl"
+    _write_checksummed(path, "OPART v1 8", [ORACLE_RECORDS[0], record, *ORACLE_RECORDS[2:]])
+    with pytest.raises(TableFormatError, match="record") as info:
+        load_table(path)
+    assert repr(record.encode()) in str(info.value)
+
+
+@pytest.mark.parametrize("max_n", ["+8", "08", "0_8", "8_", ""])
+def test_load_rejects_a_max_n_that_is_not_a_plain_decimal(max_n, tmp_path):
+    path = tmp_path / "t.tbl"
+    _write_checksummed(path, f"OPART v1 {max_n}", ORACLE_RECORDS)
+    with pytest.raises(TableFormatError, match="max_n"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("header", ["OPART  v1 8", "OPART\tv1 8", " OPART v1 8", "OPART v1  8",
+                                    "OPART v1 8 ", "OPART v1\t8", "OPART v2 8"])
+def test_load_rejects_a_header_save_table_does_not_write(header, tmp_path):
+    path = tmp_path / "t.tbl"
+    _write_checksummed(path, header, ORACLE_RECORDS)
+    with pytest.raises(TableFormatError, match="header"):
+        load_table(path)
+
+
+def test_load_accepts_the_plain_zero(tmp_path):
+    path = tmp_path / "t.tbl"
+    _write_checksummed(path, "OPART v1 0", ["0\t1"])
+    assert load_table(path) == build_table(0)
+
+
 def test_table_is_read_only_view():
     table = build_table(5)
     assert isinstance(table.values, tuple)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_floor
+from mpmath.libmp import finf, fninf, from_man_exp, fzero, mpf_cmp, round_floor
 from mpmath.libmp.libmpi import (
     mpi_add,
     mpi_div,
@@ -117,6 +117,26 @@ def test_sinh_cosh_against_multiprecision():
         target = mp_hi.cosh(mp_hi.mpf(value.numerator) / value.denominator)
         c = _lifted(_cosh)(x)
         assert c.lo < target < c.hi
+
+
+def _endpoint(prec):
+    """Raw endpoints of at most ``prec`` bits, of either sign, plus zero and
+    the infinities."""
+    finite = st.builds(lambda man, exp: from_man_exp(man, exp, prec, round_floor),
+                       st.integers(-(2 ** prec - 1), 2 ** prec - 1), st.integers(-300, 300))
+    return finite | st.sampled_from((fzero, finf, fninf))
+
+
+@given(st.integers(2, 300).flatmap(lambda prec: st.tuples(st.just(prec), _endpoint(prec),
+                                                          _endpoint(prec))))
+@example((53, fzero, fzero))
+@example((2, fninf, finf))
+@example((64, fninf, fzero))
+@example((64, fzero, finf))
+def test_shift_halving_equals_interval_division(case):
+    prec, a, b = case
+    x = (a, b) if mpf_cmp(a, b) <= 0 else (b, a)
+    assert iv._half_mpi(x) == mpi_div(x, iv.int_mpi(2, 2), prec)
 
 
 def test_half_turn_trig_exact_points():
