@@ -25,13 +25,12 @@ every miss.
 Truncating the series at odd cutoff N leaves an error R(n, N) with the
 explicit bound |R| <= N^{5/2}/(n mu) * sinh(mu/N), and a slightly tightened
 variant subtracting the linear sinh term.  The truncation and its bound are
-read as a pair, so they share one evaluation point: sqrt(n) and mu(n) per
-(n, bits), with 2 n^{3/2} built from the same sqrt(n), and (mu/k, cosh, sinh)
-per (n, k, bits), which the k-th term and the bound at cutoff k both read;
-N^{5/2} is kept per (N, bits).  Each memo holds ``_POINT_MEMO`` entries, so a
-sweep over n keeps a fixed size, and each value is computed in its one
-operation order, so either call order gives the same endpoints.  The closed
-k = 1 term
+read as a pair, so they share one evaluation point: the last (n, bits) asked
+for keeps sqrt(n), mu(n) and, per k as first needed, (mu/k, cosh, sinh), which
+the k-th term and the bound at cutoff k both read; 2 n^{3/2} is built from the
+same sqrt(n).  Only that one point is kept, so a sweep over n holds a fixed
+size, and each value is computed in its one operation order, so either call
+order gives the same endpoints.  The closed k = 1 term
 
     (1/8n) [ (1 + 1/mu) e^{-mu} + (1 - 1/mu) e^{mu} ]
 
@@ -56,6 +55,7 @@ from mpmath.libmp.libmpi import (
     mpi_exp,
     mpi_mul,
     mpi_one,
+    mpi_pi,
     mpi_pow_int,
     mpi_sqrt,
     mpi_sub,
@@ -69,14 +69,7 @@ from .intervals import (
     cos_half_turns_mpi,
     cosh_sinh_mpi,
     int_mpi,
-    pi_mpi,
 )
-
-# Entries each evaluation-point memo keeps: enough for a truncation at any
-# cutoff below 256 and its bound to share cosh/sinh(mu/N) in either call
-# order, and fixed however long a sweep runs.
-_POINT_MEMO = 128
-
 
 class UndecidedRealError(Exception):
     """A multiplier sum's exponent multiset is not conjugate-symmetric, so the
@@ -134,11 +127,10 @@ def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     return CertifiedInterval.from_mpi(mu_mpi(n, check_precision(precision_bits)), precision_bits)
 
 
-@lru_cache(maxsize=_POINT_MEMO)
 def _sqrt_and_mu_mpi(n: int, prec: int):
-    """(sqrt n, mu(n) = pi sqrt n) at ``prec`` bits: the evaluation point."""
+    """(sqrt n, mu(n) = pi sqrt n) as endpoint tuples at ``prec`` bits."""
     sqrt_n = mpi_sqrt(int_mpi(n, prec), prec)
-    return sqrt_n, mpi_mul(pi_mpi(prec), sqrt_n, prec)
+    return sqrt_n, mpi_mul(mpi_pi(prec), sqrt_n, prec)
 
 
 def mu_mpi(n: int, prec: int):
@@ -146,23 +138,40 @@ def mu_mpi(n: int, prec: int):
     return _sqrt_and_mu_mpi(n, prec)[1]
 
 
-@lru_cache(maxsize=_POINT_MEMO)
-def _cosh_sinh_at_mpi(n: int, k: int, prec: int):
-    """(mu/k, cosh(mu/k), sinh(mu/k)) at n: read by the k-th term and by the
-    tail bound at cutoff k."""
-    arg = mpi_div(mu_mpi(n, prec), int_mpi(k, prec), prec)
-    return (arg,) + cosh_sinh_mpi(arg, prec)
+class _EvaluationPoint:
+    """sqrt(n) and mu(n) at ``prec`` bits, and (mu/k, cosh(mu/k), sinh(mu/k))
+    per k once asked for: read by the k-th series term and by the tail bound
+    at cutoff k."""
+
+    __slots__ = ("prec", "sqrt_n", "mu", "_at_k")
+
+    def __init__(self, n: int, prec: int):
+        self.prec = prec
+        self.sqrt_n, self.mu = _sqrt_and_mu_mpi(n, prec)
+        self._at_k = {}
+
+    def cosh_sinh(self, k: int):
+        found = self._at_k.get(k)
+        if found is None:
+            arg = mpi_div(self.mu, int_mpi(k, self.prec), self.prec)
+            found = self._at_k[k] = (arg,) + cosh_sinh_mpi(arg, self.prec)
+        return found
+
+
+# One point: a truncation and its bound at the same (n, bits) share it, and a
+# sweep over n replaces it.
+_evaluation_point = lru_cache(maxsize=1)(_EvaluationPoint)
 
 
 def _term_derivatives_mpi(n: int, ks, prec: int):
     # d/dn ( sinh(mu/k) / sqrt(n) )
     #   = pi/(2 k n) cosh(mu/k) - 1/(2 n^{3/2}) sinh(mu/k), for each k in ks;
     # 2 n^{3/2} is built from mu's sqrt(n) and shared by every k.
-    two_n_sqrt_n = mpi_mul(int_mpi(2 * n, prec), _sqrt_and_mu_mpi(n, prec)[0], prec)
-    pi = pi_mpi(prec)
+    point = _evaluation_point(n, prec)
+    two_n_sqrt_n = mpi_mul(int_mpi(2 * n, prec), point.sqrt_n, prec)
     for k in ks:
-        _, cosh, sinh = _cosh_sinh_at_mpi(n, k, prec)
-        first = mpi_mul(mpi_div(pi, int_mpi(2 * k * n, prec), prec), cosh, prec)
+        _, cosh, sinh = point.cosh_sinh(k)
+        first = mpi_mul(mpi_div(mpi_pi(prec), int_mpi(2 * k * n, prec), prec), cosh, prec)
         yield mpi_sub(first, mpi_div(sinh, two_n_sqrt_n, prec), prec)
 
 
@@ -234,15 +243,8 @@ def _multiplier_sum_mpi(n: int, k: int, prec: int):
 @lru_cache(maxsize=None)
 def _series_scale_mpi(k: int, prec: int):
     """The scale sqrt(k) / (2 pi) of the k-th term, as an endpoint tuple."""
-    two_pi = mpi_mul(int_mpi(2, prec), pi_mpi(prec), prec)
+    two_pi = mpi_mul(int_mpi(2, prec), mpi_pi(prec), prec)
     return mpi_div(mpi_sqrt(int_mpi(k, prec), prec), two_pi, prec)
-
-
-@lru_cache(maxsize=_POINT_MEMO)
-def _cutoff_power_mpi(N: int, prec: int):
-    """N^{5/2}, the tail bound's factor at cutoff N, as sqrt(N) N N."""
-    big_n = int_mpi(N, prec)
-    return mpi_mul(mpi_mul(mpi_sqrt(big_n, prec), big_n, prec), big_n, prec)
 
 
 def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
@@ -299,11 +301,13 @@ def truncation_error_bound(
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
     prec = check_precision(precision_bits)
-    arg, _, body = _cosh_sinh_at_mpi(n, N, prec)
+    point = _evaluation_point(n, prec)
+    arg, _, body = point.cosh_sinh(N)
     if tightened:
         body = mpi_sub(body, arg, prec)
-    n_mu = mpi_mul(int_mpi(n, prec), mu_mpi(n, prec), prec)
-    value = mpi_div(mpi_mul(_cutoff_power_mpi(N, prec), body, prec), n_mu, prec)
+    big_n = int_mpi(N, prec)
+    factor = mpi_mul(mpi_mul(mpi_sqrt(big_n, prec), big_n, prec), big_n, prec)
+    value = mpi_div(mpi_mul(factor, body, prec), mpi_mul(int_mpi(n, prec), point.mu, prec), prec)
     return CertifiedInterval.from_mpi(value, prec)
 
 

@@ -221,19 +221,11 @@ def load_table(path) -> OverpartitionTable:
     magic, _, max_field = lines[0].rpartition(b" ")
     if magic != _MAGIC.encode():
         raise TableFormatError(f"bad header line: {lines[0]!r}")
-    if not _plain_decimal(max_field):
-        raise TableFormatError(f"bad max_n in header: {max_field!r}")
-    max_n = int(max_field)
 
-    records = lines[1:-1]
-    if len(records) != max_n + 1:
-        raise TableFormatError(
-            f"header says {max_n + 1} records, file has {len(records)}")
     values = []
-    for expected_n, line in enumerate(records):
-        # _plain_decimal on both fields, inline: two calls per record would
-        # add about a third to the load of 31,001 records.  A missing or
-        # second tab leaves count empty or not all digits.
+    for expected_n, line in enumerate(lines[1:-1]):
+        # Both fields plain decimals: ASCII digits, no leading zero but in 0.
+        # A missing or second tab leaves count empty or not all digits.
         index, _, count = line.partition(b"\t")
         if (not (index.isdigit() and count.isdigit())
                 or (index[0] == _ZERO and len(index) > 1) or (count[0] == _ZERO and len(count) > 1)):
@@ -242,11 +234,8 @@ def load_table(path) -> OverpartitionTable:
         if n != expected_n:
             raise TableFormatError(f"record out of order: expected n={expected_n}, got {n}")
         values.append(int(count))
+    # max_n as save_table writes it for these records, so it is plain too.
+    if max_field != b"%d" % (len(values) - 1):
+        raise TableFormatError(
+            f"bad max_n in header: {max_field!r}, the records run 0..{len(values) - 1}")
     return OverpartitionTable(values)
-
-
-def _plain_decimal(field: bytes) -> bool:
-    """True when ``field`` is ASCII digits without a leading zero, or ``0``
-    itself: the only form ``save_table`` writes (``int()`` would also take a
-    sign, surrounding whitespace and underscores)."""
-    return field.isdigit() and (field[0] != _ZERO or len(field) == 1)

@@ -14,10 +14,9 @@ each formula's form on mpmath's interval context as a bit-for-bit oracle.
 libmpi accepts any precision, and below 2 bits it can loop without end, so
 every public entry checks its precision with :func:`check_precision` first.
 
-pi is computed once per precision (:func:`pi_mpi`).  cosh and sinh share one
-exponential, and halve e^x +- e^-x by an exponent shift: those endpoints
-already carry at most the working precision's bits, so the shift is exact
-and gives the endpoints an interval division by 2 would.
+cosh and sinh share one exponential, and halve e^x +- e^-x by an exponent
+shift: those endpoints already carry at most the working precision's bits, so
+the shift is exact and gives the endpoints an interval division by 2 would.
 
 Every sign in the package is read by one step, :func:`precision_ladder`:
 evaluate a list of gaps (endpoint tuples) at a starting precision (128 bits
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 from mpmath import mp
@@ -178,13 +176,6 @@ class CertifiedInterval:
 
 # -- elementary functions ---------------------------------------------------
 
-
-@lru_cache(maxsize=16)
-def pi_mpi(prec: int):
-    """pi as an endpoint tuple at ``prec`` bits, computed once per precision."""
-    return mpi_pi(prec)
-
-
 def _half_mpi(x):
     """x / 2 by an exponent shift of each endpoint: exact, and equal to the
     interval division, for endpoints of at most the working precision's bits
@@ -211,7 +202,7 @@ def cos_half_turns_mpi(turns: Fraction, prec: int):
         return int_mpi(-1, prec)
     if turns.denominator == 2:  # turns in {1/2, 3/2}
         return int_mpi(0, prec)
-    angle = mpi_mul(pi_mpi(prec), int_mpi(turns.numerator, prec), prec)
+    angle = mpi_mul(mpi_pi(prec), int_mpi(turns.numerator, prec), prec)
     return mpi_cos(mpi_div(angle, int_mpi(turns.denominator, prec), prec), prec)
 
 

@@ -46,6 +46,7 @@ from mpmath.libmp.libmpi import (
     mpi_log,
     mpi_mul,
     mpi_one,
+    mpi_pi,
     mpi_sqrt,
     mpi_sub,
 )
@@ -57,7 +58,6 @@ from .intervals import (
     CertifiedInterval,
     check_precision,
     int_mpi,
-    pi_mpi,
     precision_ladder,
     rational_mpi,
     render_endpoint,
@@ -253,7 +253,7 @@ def _delta2_log(table: OverpartitionTable, n: int) -> Callable:
         n_mpi = int_mpi(n, prec)
         n32 = mpi_mul(mpi_sqrt(n_mpi, prec), n_mpi, prec)
         scaled = mpi_mul(mpi_mul(int_mpi(4, prec), n32, prec), int_mpi(outer - square, prec), prec)
-        return [mpi_add(mpi_mul(int_mpi(outer, prec), pi_mpi(prec), prec), scaled, prec)]
+        return [mpi_add(mpi_mul(int_mpi(outer, prec), mpi_pi(prec), prec), scaled, prec)]
 
     return gaps
 
@@ -513,7 +513,7 @@ def pair_threshold_gap(a: int, lam: Fraction, precision_bits: int = DEFAULT_BITS
     sqrt_lam_a = mpi_sqrt(lam_a, prec)
     a_plus_lam_a = mpi_add(a_mpi, lam_a, prec)
     root_sum = mpi_sub(mpi_add(sqrt_a, sqrt_lam_a, prec), mpi_sqrt(a_plus_lam_a, prec), prec)
-    t_val = mpi_mul(pi_mpi(prec), root_sum, prec)
+    t_val = mpi_mul(mpi_pi(prec), root_sum, prec)
     s_num = mpi_add(mpi_one, mpi_div(mpi_one, a_plus_lam_a, prec), prec)
     s_den = mpi_mul(mpi_sub(mpi_one, mpi_div(mpi_one, sqrt_a, prec), prec),
                     mpi_sub(mpi_one, mpi_div(mpi_one, sqrt_lam_a, prec), prec), prec)

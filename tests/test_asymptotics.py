@@ -24,15 +24,6 @@ from overpart import intervals as iv
 from overpart.asymptotics import _multiplier_exponents, sawtooth_exponent
 
 
-def sawtooth_oracle(h: int, k: int) -> Fraction:
-    """Literal transcription of the defining sawtooth sum, in Fractions."""
-    total = Fraction(0)
-    for r in range(1, k):
-        frac_part = Fraction(h * r, k) - (h * r) // k
-        total += Fraction(r, k) * (frac_part - Fraction(1, 2))
-    return total
-
-
 # -- multiplier roots of unity -------------------------------------------------
 
 
@@ -52,7 +43,7 @@ def test_omega_against_oracle_all_k_to_25():
         for h in range(k):
             if gcd(h, k) != 1:
                 continue
-            assert omega(h, k) == sawtooth_oracle(h, k) % 2, (h, k)
+            assert omega(h, k) == oracle.sawtooth_exponent(h, k) % 2, (h, k)
 
 
 def test_sawtooth_reciprocity_matches_the_defining_sum():
@@ -89,7 +80,8 @@ def test_root_of_unity_arithmetic():
     for k in range(1, 26, 2):
         for h in range(k):
             if gcd(h, k) == 1:
-                expected = (2 * sawtooth_oracle(h, k) - sawtooth_oracle(2 * h % k, k)) % 2
+                expected = (2 * oracle.sawtooth_exponent(h, k)
+                            - oracle.sawtooth_exponent(2 * h % k, k)) % 2
                 assert series_multiplier(h, k) == expected, (h, k)
 
 
@@ -274,11 +266,11 @@ def test_tightened_gap_is_linear_term():
     assert gap.intersects(explicit)
 
 
-# The evaluation-point memos: each is keyed on its precision, so calls at
-# interleaved precisions, in either order of truncation and bound, must each
-# give the oracle's endpoints.
-POINT_MEMOS = (asymptotics._sqrt_and_mu_mpi, asymptotics._cosh_sinh_at_mpi,
-               asymptotics._cutoff_power_mpi, iv.pi_mpi)
+# The shared evaluation point is keyed on n and the precision, so calls that
+# switch precision, in either order of truncation and bound, must each give
+# the oracle's endpoints.  Precision is the outer loop: a switch replaces the
+# one point, so switching at every cutoff would recompute it each time, most
+# of all at 8192 bits, without reaching another code path.
 POINT_N = 1737
 POINT_BITS = (53, 8192, 128, 1024, 256)
 POINT_CUTOFFS = range(1, 40)
@@ -301,11 +293,11 @@ def point_oracle():
 
 @pytest.mark.parametrize("bound_first", (False, True))
 def test_shared_evaluation_point_is_order_independent(bound_first, point_oracle):
-    assert all(memo.cache_info().maxsize is not None for memo in POINT_MEMOS)
-    for memo in POINT_MEMOS:
-        memo.cache_clear()
-    for N in POINT_CUTOFFS:
-        for bits in POINT_BITS:
+    memo = asymptotics._evaluation_point
+    assert memo.cache_info().maxsize == 1
+    memo.cache_clear()
+    for bits in POINT_BITS:
+        for N in POINT_CUTOFFS:
             def truncation():
                 return rademacher_truncation(SeriesParams(POINT_N, N, bits)).mpi
 
