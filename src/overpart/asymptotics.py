@@ -65,6 +65,7 @@ from mpmath.libmp.libmpi import (
 from .intervals import (
     DEFAULT_BITS,
     CertifiedInterval,
+    check_int,
     check_precision,
     cos_half_turns_mpi,
     cosh_sinh_mpi,
@@ -122,8 +123,7 @@ def series_multiplier(h: int, k: int) -> Fraction:
 
 def mu(n: int, precision_bits: int = DEFAULT_BITS) -> CertifiedInterval:
     """The growth scale pi sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n")
     return CertifiedInterval.from_mpi(mu_mpi(n, check_precision(precision_bits)), precision_bits)
 
 
@@ -181,13 +181,13 @@ def series_term_derivative(n: int, k: int, precision_bits: int = DEFAULT_BITS) -
     The closed form is derived once by hand (chain rule through sqrt(n)) and
     unit-tested against central finite differences.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
+    check_int(n, "n")
+    check_int(k, "k")
     prec = check_precision(precision_bits)
     return CertifiedInterval.from_mpi(next(_term_derivatives_mpi(n, (k,), prec)), prec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesParams:
     """Arguments of a truncated series evaluation: target index n, odd cutoff
     N (only odd k <= N contribute), and working precision in bits."""
@@ -266,8 +266,7 @@ def rademacher_truncation(params: SeriesParams) -> CertifiedInterval:
 
 def _mu_and_exp(n: int, precision_bits: int):
     """(prec, mu(n), e^mu(n)) for the closed forms below; validates n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n")
     prec = check_precision(precision_bits)
     m = mu_mpi(n, prec)
     return prec, m, mpi_exp(m, prec)
@@ -298,8 +297,8 @@ def truncation_error_bound(
     |A_k(n)| <= k, the tail over odd k > N expands in y = mu/N from y^3 on
     (x cosh x - sinh x has no linear term), and its y^{2j+1} coefficient is
     at most j/(2(4j-3)) <= 1/2 times the 1/(2j+1)! of the sinh series."""
-    if n < 1 or N < 1:
-        raise ValueError("n and N must be positive")
+    check_int(n, "n")
+    check_int(N, "N")
     prec = check_precision(precision_bits)
     point = _evaluation_point(n, prec)
     arg, _, body = point.cosh_sinh(N)

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, TextIO
 
 from . import exact_core
 from .exact_core import OverpartitionTable, TableFormatError, build_table, load_table, save_table
-from .intervals import directed_decimal
+from .intervals import DEFAULT_BITS, directed_decimal
 from .asymptotics import (
     SeriesParams,
     UndecidedRealError,
@@ -40,7 +40,6 @@ from .verifiers import (
     CheckSpec,
     run_campaign,
     solve_lambda_table,
-    table_requirement,
 )
 
 ENV_TABLE = "OPART_TABLE"
@@ -146,15 +145,12 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
-def _build_verify_spec(args) -> CheckSpec:
-    params = {}
-    if args.check == "strong-log-concavity":
-        params["m_policy"] = args.m_policy
-    return CheckSpec(args.check, args.from_n, args.to_n,
-                     precision_bits=args.bits, params=params)
-
-
-def _emit(results: Sequence[CheckResult], args) -> int:
+def _run(specs: Sequence[CheckSpec], args) -> int:
+    """Resolve the table the specs read, run them as one campaign and write
+    the report; the exit code follows the verdicts."""
+    top = max(spec.table_top for spec in specs)
+    table = _resolve_table(args.table, top) if top else None
+    results = run_campaign(table, specs)
     records = records_from_results(results)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -167,14 +163,13 @@ def _emit(results: Sequence[CheckResult], args) -> int:
 
 
 def cmd_verify(args) -> int:
+    params = {"m_policy": args.m_policy} if args.check == "strong-log-concavity" else {}
     try:
-        spec = _build_verify_spec(args)
-        needed = table_requirement(spec)
+        spec = CheckSpec(args.check, args.from_n, args.to_n, args.bits, params)
     except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    table = _resolve_table(args.table, needed) if needed else None
-    return _emit(run_campaign(table, [spec]), args)
+    return _run([spec], args)
 
 
 def cmd_lambda(args) -> int:
@@ -208,10 +203,7 @@ SUITES = {"paper-desk": DESK_SUITE, "paper-full": FULL_SUITE}
 
 
 def cmd_campaign(args) -> int:
-    specs = SUITES[args.suite]
-    needed = max(table_requirement(spec) for spec in specs)
-    table = _resolve_table(args.table, needed)
-    return _emit(run_campaign(table, specs), args)
+    return _run(SUITES[args.suite], args)
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -252,7 +244,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--from", dest="from_n", type=int, required=True)
     p_verify.add_argument("--to", dest="to_n", type=int, required=True)
     p_verify.add_argument("--m-policy", dest="m_policy", type=int, choices=(1, 2), default=1)
-    p_verify.add_argument("--bits", type=int, default=128, help="starting interval precision")
+    p_verify.add_argument("--bits", type=int, default=DEFAULT_BITS,
+                          help="starting interval precision")
     _add_report_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -58,7 +58,8 @@ from mpmath.libmp.libmpi import (
 )
 
 from .exact_core import OverpartitionTable
-from .intervals import DEFAULT_BITS, CertifiedInterval, check_precision, int_mpi, rational_mpi
+from .intervals import (
+    DEFAULT_BITS, CertifiedInterval, check_int, check_precision, int_mpi, rational_mpi)
 from .asymptotics import mu_mpi
 
 
@@ -195,8 +196,7 @@ def f_vs_q_gaps_raw(data: KernelData, n: int, u: Fraction):
 
 
 def _envelope_at(n: int, precision_bits: int, signed: int) -> CertifiedInterval:
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    check_int(n, "n", 2)
     triple = KernelData(check_precision(precision_bits)).triple(n)
     return CertifiedInterval.from_mpi(_envelope(precision_bits, triple, signed), precision_bits)
 

@@ -11,10 +11,11 @@ deliberately its own verdict: the n = 2 log-concavity equality, the
 report must surface, not fold into "holds".
 
 Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
-the table it needs, its subjects and its per-subject evaluator.
-:func:`run_campaign` validates every spec against its entry first, then sweeps
-the subjects of all specs as one, in (sweep index, spec position) order;
-:func:`run_check` is a campaign of one spec.
+the table it needs, its subjects and its per-subject evaluator.  A
+:class:`CheckSpec` is validated against its entry when it is built, and
+records the table it needs; :func:`run_campaign` checks that the table covers
+every spec, then sweeps the subjects of all specs as one, in (sweep index,
+spec position) order; :func:`run_check` is a campaign of one spec.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
@@ -56,6 +57,7 @@ from .intervals import (
     DEFAULT_BITS,
     MAX_BITS,
     CertifiedInterval,
+    check_int,
     check_precision,
     int_mpi,
     precision_ladder,
@@ -84,25 +86,35 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """A registered inequality, a range and a start precision."""
+    """A registered inequality, a range and a start precision, validated when
+    built: IndexError when the range starts below the check's lowest n,
+    ValueError on anything else.  ``table_top`` is the highest index of pbar
+    the spec reads, 0 when it reads no table."""
 
     name: str
     from_n: int
     to_n: int
     precision_bits: int = DEFAULT_BITS
     params: Mapping[str, int] = field(default_factory=dict)
+    table_top: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in CHECKS:
+        check = CHECKS.get(self.name)
+        if check is None:
             raise ValueError(f"unknown check {self.name!r}")
-        foreign = sorted(set(self.params) - set(CHECKS[self.name].params))
+        foreign = sorted(set(self.params) - set(check.params))
         if foreign:
             raise ValueError(f"{self.name} takes no parameter {', '.join(map(repr, foreign))}")
+        for key, value in (("from_n", self.from_n), ("to_n", self.to_n), *self.params.items()):
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an int, got {value!r}")
         if self.from_n > self.to_n:
             raise ValueError(f"empty range {self.from_n}..{self.to_n}")
-        if not isinstance(self.precision_bits, int) or not 2 <= self.precision_bits <= MAX_BITS:
-            raise ValueError(
-                f"precision_bits must be an integer in 2..{MAX_BITS}, got {self.precision_bits!r}")
+        if self.from_n < check.min_n:
+            raise IndexError(f"{self.name} needs n >= {check.min_n}")
+        if check_precision(self.precision_bits) > MAX_BITS:
+            raise ValueError(f"precision must be <= {MAX_BITS} bits, got {self.precision_bits}")
+        object.__setattr__(self, "table_top", check.table_top(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,19 +335,6 @@ CHECKS: Dict[str, Check] = {check.name: check for check in (
 CHECK_NAMES = tuple(CHECKS)
 
 
-def table_requirement(spec: CheckSpec) -> int:
-    """Largest index of pbar a check needs, 0 when it reads no table.
-
-    This is the registry's range check: raises IndexError when the range
-    starts below the check's lowest n, ValueError on bad parameters.
-    """
-    check = CHECKS[spec.name]
-    top = check.table_top(spec)
-    if spec.from_n < check.min_n:
-        raise IndexError(f"{spec.name} needs n >= {check.min_n}")
-    return top
-
-
 def _tagged(position: int, subjects: Iterable) -> Iterable[tuple]:
     return ((index, position, label, subject) for index, label, subject in subjects)
 
@@ -349,7 +348,7 @@ def run_campaign(
     table: Optional[OverpartitionTable],
     specs: Sequence[CheckSpec],
 ) -> List[CheckResult]:
-    """Validate every spec, then sweep all their subjects as one.
+    """Sweep the subjects of all specs as one, once ``table`` covers every spec.
 
     Subjects run in (sweep index, spec position) order, so the checks share
     one :class:`KernelData` per precision rung, dropped on return.  Returns
@@ -357,10 +356,9 @@ def run_campaign(
     ``wall_time`` is the summed time of its own subjects.
     """
     for spec in specs:
-        needed = table_requirement(spec)
-        if needed and (table is None or needed > table.max_n):
+        if spec.table_top and (table is None or spec.table_top > table.max_n):
             have = "no table given" if table is None else f"table stops at {table.max_n}"
-            raise IndexError(f"{spec.name} needs pbar(0..{needed}), {have}")
+            raise IndexError(f"{spec.name} needs pbar(0..{spec.table_top}), {have}")
     checks = [CHECKS[spec.name] for spec in specs]
     kernel_data = lru_cache(maxsize=None)(KernelData)
     items: List[List[CheckItem]] = [[] for _ in specs]
@@ -502,8 +500,7 @@ def pair_threshold_gap(a: int, lam: Fraction, precision_bits: int = DEFAULT_BITS
     T is increasing and S decreasing in lambda >= 1, so the gap is strictly
     increasing: a certified sign change brackets the unique root.
     """
-    if a < 2:
-        raise ValueError(f"a must be at least 2, got {a}")
+    check_int(a, "a", 2)
     if lam < 1:
         raise ValueError(f"lambda must be at least 1, got {lam}")
     prec = check_precision(precision_bits)

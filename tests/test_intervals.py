@@ -324,8 +324,33 @@ PRECISION_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bits", (0, 1))
+@pytest.mark.parametrize("bits", (0, 1, 128.0, True))
 @pytest.mark.parametrize("entry", sorted(PRECISION_ENTRIES))
 def test_public_entries_reject_precision_below_two_bits(entry, bits):
     with pytest.raises(ValueError, match="at least 2 bits"):
         PRECISION_ENTRIES[entry](bits)
+
+
+# Every public interval entry that takes an integer argument.  Entered by
+# int_mpi, a float would be truncated, and the enclosure would mix the value
+# at the truncated argument with the value at the given one.
+INDEX_ENTRIES = {
+    "mu": lambda n: op.mu(n),
+    "series_term_derivative": lambda n: op.series_term_derivative(n, 3),
+    "series_term_derivative_k": lambda k: op.series_term_derivative(5, k),
+    "main_term": lambda n: op.main_term(n),
+    "simple_bounds": lambda n: op.simple_bounds(n),
+    "refined_bounds": lambda n: op.refined_bounds(n),
+    "truncation_error_bound": lambda n: op.truncation_error_bound(n, 3),
+    "truncation_error_bound_N": lambda big_n: op.truncation_error_bound(5, big_n),
+    "ratio_lower_bound": lambda n: op.ratio_lower_bound(n),
+    "ratio_upper_bound": lambda n: op.ratio_upper_bound(n),
+    "pair_threshold_gap": lambda a: op.pair_threshold_gap(a, Fraction(2)),
+}
+
+
+@pytest.mark.parametrize("index", (5.5, 5.0, True, "5"))
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+def test_public_entries_reject_a_non_integer_index(entry, index):
+    with pytest.raises(ValueError, match="must be an int"):
+        INDEX_ENTRIES[entry](index)

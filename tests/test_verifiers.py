@@ -3,7 +3,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import ComplexResult, finf, fninf, from_int
 
@@ -28,9 +28,9 @@ from overpart import (
 import context_kernels as oracle
 from overpart import ratio_bounds, verifiers
 from overpart.cli import DESK_SUITE
-from overpart.intervals import MAX_BITS, rational_mpi
+from overpart.intervals import DEFAULT_BITS, MAX_BITS, rational_mpi
 from overpart.ratio_bounds import KernelData
-from overpart.verifiers import CHECK_NAMES, CHECKS, run_check, table_requirement
+from overpart.verifiers import CHECK_NAMES, CHECKS, run_check
 
 
 def verdict_of(result, subject):
@@ -419,11 +419,15 @@ def test_run_campaign_validates_every_spec_before_sweeping(desk_table, monkeypat
     monkeypatch.setitem(CHECKS, "log-concavity",
                         dataclasses.replace(CHECKS["log-concavity"], evaluate=counting))
     small = OverpartitionTable(desk_table.values[:12])
-    for bad in (CheckSpec("log-concavity", 0, 5), CheckSpec("higher-turan", 2, 10),
-                CheckSpec("strong-log-concavity", 2, 8, params={"m_policy": 3})):
-        with pytest.raises((IndexError, ValueError)):
-            run_campaign(small, [CheckSpec("log-concavity", 2, 10), bad])
-        assert calls == [], bad
+    # A bad spec raises when built; one the table does not cover raises in
+    # run_campaign, before any subject of any spec is evaluated.
+    with pytest.raises(IndexError):
+        CheckSpec("log-concavity", 0, 5)
+    with pytest.raises(ValueError):
+        CheckSpec("strong-log-concavity", 2, 8, params={"m_policy": 3})
+    with pytest.raises(IndexError):
+        run_campaign(small, [CheckSpec("log-concavity", 2, 10), CheckSpec("higher-turan", 2, 10)])
+    assert calls == []
     assert len(run_campaign(small, [CheckSpec("log-concavity", 2, 10)])[0].items) == len(calls) == 9
 
 
@@ -432,12 +436,22 @@ def test_check_spec_validation():
         CheckSpec("log-concavity", 5, 2)
     with pytest.raises(ValueError):
         CheckSpec("fuzzy", 2, 5)
-    for bits in (1, 0, 128.0, MAX_BITS + 1):
+    for bits in (1, 0, 128.0, True, MAX_BITS + 1):
         with pytest.raises(ValueError):
             CheckSpec("log-concavity", 2, 5, precision_bits=bits)
     CheckSpec("log-concavity", 2, 5, precision_bits=MAX_BITS)
     with pytest.raises(ValueError):  # the removed positional mode argument
         CheckSpec("log-concavity", 2, 5, "exact")
+    # Non-integer bounds and parameters raise when built, not mid-sweep, and
+    # from_n=True no longer runs as n = 1.
+    for from_n, to_n in ((2.0, 5), (2, 5.5), (True, 5), ("2", 5)):
+        with pytest.raises(ValueError):
+            CheckSpec("log-concavity", from_n, to_n)
+    for a_max in (5.5, 5.0, True):
+        with pytest.raises(ValueError):
+            CheckSpec("multiplicative", 2, 10, params={"a_max": a_max})
+    with pytest.raises(ValueError):
+        CheckSpec("strong-log-concavity", 2, 10, params={"m_policy": True})
 
 
 def test_check_spec_rejects_params_the_check_does_not_read():
@@ -454,14 +468,14 @@ def test_check_spec_rejects_params_the_check_does_not_read():
     CheckSpec("multiplicative", 2, 10, params={"a_max": 3})
 
 
-def test_table_requirements():
-    assert table_requirement(CheckSpec("log-concavity", 2, 100)) == 101
-    assert table_requirement(CheckSpec("higher-turan", 2, 100)) == 102
-    assert table_requirement(CheckSpec("strong-log-concavity", 2, 100)) == 199
-    assert table_requirement(CheckSpec("multiplicative", 2, 100)) == 200
-    assert table_requirement(CheckSpec("g-vs-f-shift", 2, 100)) == 0
+def test_table_tops():
+    assert CheckSpec("log-concavity", 2, 100).table_top == 101
+    assert CheckSpec("higher-turan", 2, 100).table_top == 102
+    assert CheckSpec("strong-log-concavity", 2, 100).table_top == 199
+    assert CheckSpec("multiplicative", 2, 100).table_top == 200
+    assert CheckSpec("g-vs-f-shift", 2, 100).table_top == 0
     for name in CHECK_NAMES:
-        table_requirement(CheckSpec(name, 2, 10))
+        CheckSpec(name, 2, 10)
 
 
 def _small_spec(name):
@@ -470,30 +484,67 @@ def _small_spec(name):
     return CheckSpec(name, 60, 70)
 
 
-def test_registry_table_requirement_is_exact(desk_table, monkeypatch):
-    # The range check and the sweep read the same registry entry: a table that
-    # stops at table_requirement(spec) suffices, one index less is refused
-    # before any subject is evaluated.
-    for name in CHECK_NAMES:
-        spec = _small_spec(name)
-        needed = table_requirement(spec)
-        if name == "g-vs-f-shift":
-            assert needed == 0
-            assert run_check(None, spec).ok
-            continue
-        calls = []
+@st.composite
+def _spec_arguments(draw):
+    """CheckSpec arguments over small ranges, mostly valid: any check, a range
+    that may be empty or start below the check's lowest n, a start precision
+    and the check's own parameters, in range or just outside it."""
+    name = draw(st.sampled_from(CHECK_NAMES))
+    top = 20 if name == "multiplicative" else 70
+    from_n = draw(st.integers(0, top))
+    to_n = draw(st.integers(from_n - 1, top))
+    values = {"m_policy": st.integers(0, 3), "a_max": st.integers(from_n - 1, to_n + 1)}
+    params = draw(st.fixed_dictionaries(
+        {}, optional={key: values[key] for key in CHECKS[name].params}))
+    return name, from_n, to_n, draw(st.integers(0, 256)), params
 
-        def counting(table, subject, check=CHECKS[name]):
-            calls.append(subject)
-            return check.evaluate(table, subject)
 
-        monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], evaluate=counting))
-        result = run_check(OverpartitionTable(desk_table.values[:needed + 1]), spec)
-        assert len(calls) == len(result.items) > 0 and result.spec == spec
-        assert all((item.precision_bits == 0) == CHECKS[name].exact for item in result.items)
+@settings(max_examples=300)
+@given(_spec_arguments())
+@example(("log-concavity", 60, 70, DEFAULT_BITS, {}))
+@example(("strong-log-concavity", 60, 70, DEFAULT_BITS, {}))
+@example(("multiplicative", 2, 12, DEFAULT_BITS, {"a_max": 5}))
+@example(("delta2-log", 60, 70, DEFAULT_BITS, {}))
+@example(("higher-turan", 60, 70, DEFAULT_BITS, {}))
+@example(("u-monotone", 60, 70, DEFAULT_BITS, {}))
+@example(("fg-sandwich", 60, 70, DEFAULT_BITS, {}))
+@example(("g-vs-f-shift", 60, 70, DEFAULT_BITS, {}))
+@example(("f-vs-q", 60, 70, DEFAULT_BITS, {}))
+def test_registry_table_top_is_exact(desk_table, arguments):
+    # A spec is refused when built unless the registry accepts it; the sweep
+    # then reads the same entry: a table that stops at spec.table_top suffices,
+    # one index less is refused before any subject is evaluated.
+    name, from_n, to_n, bits, params = arguments
+    check = CHECKS[name]
+    valid = (check.min_n <= from_n <= to_n and 2 <= bits <= MAX_BITS
+             and params.get("m_policy", 1) in (1, 2)
+             and from_n <= params.get("a_max", to_n) <= to_n)
+    if not valid:
+        with pytest.raises((IndexError, ValueError)):
+            CheckSpec(name, from_n, to_n, bits, params)
+        return
+    spec = CheckSpec(name, from_n, to_n, bits, params)
+    if name == "g-vs-f-shift":
+        assert spec.table_top == 0
+        assert run_check(None, spec).ok
+        return
+    calls = []
+
+    def counting(table, subject):
+        calls.append(subject)
+        return check.evaluate(table, subject)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(CHECKS, name, dataclasses.replace(check, evaluate=counting))
+        result = run_check(OverpartitionTable(desk_table.values[:spec.table_top + 1]), spec)
+        assert len(calls) == len(result.items) == len(list(check.subjects(spec)))
+        # only strong log-concavity with m >= 2 at n = 2 alone has no subject
+        assert calls or params.get("m_policy") == to_n == 2
+        assert result.spec == spec
+        assert all((item.precision_bits == 0) == check.exact for item in result.items)
         calls.clear()
         with pytest.raises(IndexError):
-            run_check(OverpartitionTable(desk_table.values[:needed]), spec)
+            run_check(OverpartitionTable(desk_table.values[:spec.table_top]), spec)
         assert calls == [], name
 
 
@@ -502,7 +553,7 @@ def test_table_reading_check_without_a_table_fails_before_evaluating(monkeypatch
         check_log_concavity(None, 1, 10)
     for name in CHECK_NAMES:
         spec = _small_spec(name)
-        needed = table_requirement(spec)
+        needed = spec.table_top
         if not needed:  # g-vs-f-shift reads no table
             assert run_check(None, spec).ok
             continue
@@ -516,9 +567,8 @@ def test_table_reading_check_without_a_table_fails_before_evaluating(monkeypatch
 
 def test_registry_lowest_n():
     for name, check in CHECKS.items():
-        spec = dataclasses.replace(_small_spec(name), from_n=check.min_n - 1)
         with pytest.raises(IndexError):
-            table_requirement(spec)
+            dataclasses.replace(_small_spec(name), from_n=check.min_n - 1)
 
 
 def test_exact_checks_never_undecided(desk_table):
