@@ -62,10 +62,10 @@ from mpmath.libmp.libmpi import (
     mpi_zero,
 )
 
+from .exact_core import check_int
 from .intervals import (
     DEFAULT_BITS,
     CertifiedInterval,
-    check_int,
     check_precision,
     cos_half_turns_mpi,
     cosh_sinh_mpi,
@@ -101,9 +101,8 @@ def omega(h: int, k: int) -> Fraction:
     """Multiplier root of unity w(h,k) = exp(i pi * omega(h, k)), as its exact
     exponent in [0, 2), so no rounding enters before the final cosine;
     requires k >= 1, 0 <= h <= k coprime."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not 0 <= h <= k:
+    check_int(k, "k")
+    if check_int(h, "h", 0) > k:
         raise ValueError(f"h must lie in [0, {k}], got {h}")
     if gcd(h, k) != 1:
         raise ValueError(f"h and k must be coprime, got ({h}, {k})")
@@ -197,10 +196,8 @@ class SeriesParams:
     precision_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.N < 1:
-            raise ValueError(f"cutoff must be at least 1, got {self.N}")
+        check_int(self.n, "n")
+        check_int(self.N, "N")
         check_precision(self.precision_bits)
 
 

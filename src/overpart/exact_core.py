@@ -46,8 +46,18 @@ class TableFormatError(Exception):
     """Table file is malformed, truncated or fails its checksum."""
 
 
+def check_int(value: int, name: str, least: int = 1) -> int:
+    """``value`` when it is an ``int`` (not a ``bool``) of at least ``least``,
+    else ValueError naming the argument."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+    return value
+
+
 class OverpartitionTable:
-    """Immutable table of exact overpartition counts pbar(0..max_n)."""
+    """Immutable table of exact overpartition counts pbar(0..max_n).  Its one
+    read, ``table[n]``, judges n: ValueError unless n is an ``int`` (not a
+    ``bool``), IndexError unless 0 <= n <= max_n (no index from the end)."""
 
     __slots__ = ("_values",)
 
@@ -68,7 +78,14 @@ class OverpartitionTable:
         return len(self._values)
 
     def __getitem__(self, n: int) -> int:
-        return self._values[n]
+        if type(n) is not int:
+            raise ValueError(f"table index must be an int, got {n!r}")
+        if n >= 0:
+            try:
+                return self._values[n]
+            except IndexError:
+                pass
+        raise IndexError(f"pbar({n}) is outside the table, which holds pbar(0..{self.max_n})")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._values)
@@ -101,8 +118,7 @@ def build_table(max_n: int) -> OverpartitionTable:
     Deterministic; raises :class:`MemoryBudgetError` before allocating when the
     estimate exceeds ``DEFAULT_MEMORY_BUDGET``.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    check_int(max_n, "max_n", 0)
     if estimated_table_bytes(max_n) > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(
             f"table to {max_n} needs about {estimated_table_bytes(max_n)} bytes, "
@@ -145,9 +161,7 @@ def enumerate_overpartitions(n: int) -> int:
     """Brute-force overpartition count: every partition of n weighted by
     2^(distinct parts), memoized per call on (remaining, max_part).  Guarded
     to n <= 60; meant for tests only."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > ENUMERATION_LIMIT:
+    if check_int(n, "n", 0) > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration oracle is exponential and capped at n = {ENUMERATION_LIMIT}")
 

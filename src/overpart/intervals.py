@@ -13,7 +13,8 @@ each formula's form on mpmath's interval context as a bit-for-bit oracle.
 
 libmpi accepts any precision, and below 2 bits it can loop without end, and
 ``int_mpi`` truncates a float, so every public entry checks its precision with
-:func:`check_precision` and its integer arguments with :func:`check_int` first.
+:func:`check_precision` and its integer arguments with
+:func:`exact_core.check_int` first.
 
 cosh and sinh share one exponential, and halve e^x +- e^-x by an exponent
 shift: those endpoints already carry at most the working precision's bits, so
@@ -53,14 +54,6 @@ def check_precision(bits: int) -> int:
     if type(bits) is not int or bits < 2:
         raise ValueError(f"precision must be an int of at least 2 bits, got {bits!r}")
     return bits
-
-
-def check_int(value: int, name: str, least: int = 1) -> int:
-    """``value`` when it is an ``int`` (not a ``bool``) of at least ``least``,
-    else ValueError naming the argument."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
-    return value
 
 
 def int_mpi(value: int, prec: int):

@@ -57,9 +57,8 @@ from mpmath.libmp.libmpi import (
     mpi_sub,
 )
 
-from .exact_core import OverpartitionTable
-from .intervals import (
-    DEFAULT_BITS, CertifiedInterval, check_int, check_precision, int_mpi, rational_mpi)
+from .exact_core import OverpartitionTable, check_int
+from .intervals import DEFAULT_BITS, CertifiedInterval, check_precision, int_mpi, rational_mpi
 from .asymptotics import mu_mpi
 
 
@@ -72,9 +71,8 @@ class DomainError(ValueError):
 
 def u_ratio(table: OverpartitionTable, n: int) -> Fraction:
     """Exact u_n = pbar(n-1) pbar(n+1) / pbar(n)^2; needs 1 <= n < max_n."""
-    if not 1 <= n <= table.max_n - 1:
-        raise IndexError(f"n = {n} outside table range 1..{table.max_n - 1}")
-    return Fraction(table[n - 1] * table[n + 1], table[n] ** 2)
+    middle = table[n]  # first, so the table judges n before n - 1 is taken
+    return Fraction(table[n - 1] * table[n + 1], middle ** 2)
 
 
 # -- the envelope, the window, Q and P, and the gap kernels ------------------------
@@ -311,8 +309,6 @@ def jensen_cubic(table: OverpartitionTable, n: int) -> Tuple[Tuple[int, int, int
     """Coefficients (by ascending degree) and exact discriminant of the cubic
     sum_j binom(3,j) pbar(n+j) x^j; nonnegative discriminant means all three
     roots are real."""
-    if n < 0 or n + 3 > table.max_n:
-        raise IndexError(f"need pbar up to {n + 3}, table stops at {table.max_n}")
     coeffs = (table[n], 3 * table[n + 1], 3 * table[n + 2], table[n + 3])
     a, b, c, d = coeffs[3], coeffs[2], coeffs[1], coeffs[0]
     disc = (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
@@ -328,7 +324,6 @@ def higher_turan_integer(table: OverpartitionTable, n: int) -> int:
         4 (pbar(n)^2 - pbar(n-1) pbar(n+1)) (pbar(n+1)^2 - pbar(n) pbar(n+2))
           - (pbar(n) pbar(n+1) - pbar(n-1) pbar(n+2))^2.
     """
-    if n < 1 or n + 2 > table.max_n:
-        raise IndexError(f"need pbar({n - 1}..{n + 2}), table stops at {table.max_n}")
-    p0, p1, p2, p3 = table[n - 1], table[n], table[n + 1], table[n + 2]
+    p1 = table[n]  # first, so the table judges n before n - 1 is taken
+    p0, p2, p3 = table[n - 1], table[n + 1], table[n + 2]
     return 4 * (p1 * p1 - p0 * p2) * (p2 * p2 - p1 * p3) - (p1 * p2 - p0 * p3) ** 2

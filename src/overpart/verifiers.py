@@ -52,12 +52,11 @@ from mpmath.libmp.libmpi import (
     mpi_sub,
 )
 
-from .exact_core import OverpartitionTable
+from .exact_core import OverpartitionTable, check_int
 from .intervals import (
     DEFAULT_BITS,
     MAX_BITS,
     CertifiedInterval,
-    check_int,
     check_precision,
     int_mpi,
     precision_ladder,

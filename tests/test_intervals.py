@@ -331,9 +331,11 @@ def test_public_entries_reject_precision_below_two_bits(entry, bits):
         PRECISION_ENTRIES[entry](bits)
 
 
-# Every public interval entry that takes an integer argument.  Entered by
-# int_mpi, a float would be truncated, and the enclosure would mix the value
-# at the truncated argument with the value at the given one.
+# Every public entry that takes an integer argument, and every read of pbar by
+# index, which the table judges.  Entered by int_mpi, a float would be
+# truncated, and the enclosure would mix the value at the truncated argument
+# with the value at the given one; a bool would read as 0 or 1.
+TABLE = op.build_table(40)
 INDEX_ENTRIES = {
     "mu": lambda n: op.mu(n),
     "series_term_derivative": lambda n: op.series_term_derivative(n, 3),
@@ -346,6 +348,16 @@ INDEX_ENTRIES = {
     "ratio_lower_bound": lambda n: op.ratio_lower_bound(n),
     "ratio_upper_bound": lambda n: op.ratio_upper_bound(n),
     "pair_threshold_gap": lambda a: op.pair_threshold_gap(a, Fraction(2)),
+    "OverpartitionTable.__getitem__": lambda n: TABLE[n],
+    "u_ratio": lambda n: op.u_ratio(TABLE, n),
+    "jensen_cubic": lambda n: op.jensen_cubic(TABLE, n),
+    "higher_turan_integer": lambda n: op.higher_turan_integer(TABLE, n),
+    "SeriesParams": lambda n: op.SeriesParams(n),
+    "SeriesParams_N": lambda big_n: op.SeriesParams(5, big_n),
+    "omega_h": lambda h: op.omega(h, 7),
+    "omega_k": lambda k: op.omega(1, k),
+    "build_table": lambda max_n: op.build_table(max_n),
+    "enumerate_overpartitions": lambda n: op.enumerate_overpartitions(n),
 }
 
 

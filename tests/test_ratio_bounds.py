@@ -52,6 +52,40 @@ def test_u_examples(desk_table):
     assert u_ratio(desk_table, 4) == Fraction(48, 49)
 
 
+@given(st.integers(0, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(-3, m + 3))))
+@example((0, -1))
+@example((40, 41))
+def test_table_reads_raise_exactly_outside_the_table(m_and_n):
+    # The table is the one judge of a pbar index: each read raises IndexError
+    # exactly when one of the indices it reads leaves 0..m, and otherwise
+    # equals its formula over the raw values.
+    m, n = m_and_n
+    table = overpart.build_table(m)
+    p = table.values
+
+    def turan():
+        return 4 * (p[n] ** 2 - p[n - 1] * p[n + 1]) * (p[n + 1] ** 2 - p[n] * p[n + 2]) \
+            - (p[n] * p[n + 1] - p[n - 1] * p[n + 2]) ** 2
+
+    def cubic():
+        d, c, b, a = p[n], 3 * p[n + 1], 3 * p[n + 2], p[n + 3]
+        disc = 18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * a * c ** 3 - 27 * a * a * d * d
+        return (d, c, b, a), disc
+
+    reads = (
+        ((n,), lambda: table[n], lambda: p[n]),
+        ((n - 1, n, n + 1), lambda: u_ratio(table, n), lambda: Fraction(p[n - 1] * p[n + 1], p[n] ** 2)),
+        ((n - 1, n, n + 1, n + 2), lambda: higher_turan_integer(table, n), turan),
+        ((n, n + 1, n + 2, n + 3), lambda: jensen_cubic(table, n), cubic),
+    )
+    for indices, read, formula in reads:
+        if all(0 <= i <= m for i in indices):
+            assert read() == formula(), (indices, m)
+        else:
+            with pytest.raises(IndexError):
+                read()
+
+
 def test_u_range_check(desk_table):
     with pytest.raises(IndexError):
         u_ratio(desk_table, 0)
