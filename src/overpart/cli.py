@@ -22,6 +22,8 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, TextIO
 
 from . import exact_core
@@ -59,8 +61,7 @@ def records_from_results(results: Iterable[CheckResult]) -> List[CheckItem]:
 
 
 def write_report(items: Iterable[CheckItem], fmt: str, stream: TextIO) -> None:
-    rows = ((item.check, item.subject, item.verdict.value, item.margin, item.precision_bits)
-            for item in items)
+    rows = map(attrgetter(*CSV_HEADER), items)
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -151,7 +152,7 @@ def _run(specs: Sequence[CheckSpec], args) -> int:
     top = max(spec.table_top for spec in specs)
     table = _resolve_table(args.table, top) if top else None
     results = run_campaign(table, specs)
-    records = records_from_results(results)
+    records = chain.from_iterable(result.items for result in results)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_report(records, args.format, fh)

@@ -14,8 +14,12 @@ Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
 the table it needs, its subjects and its per-subject evaluator.  A
 :class:`CheckSpec` is validated against its entry when it is built, and
 records the table it needs; :func:`run_campaign` checks that the table covers
-every spec, then sweeps the subjects of all specs as one, in (sweep index,
-spec position) order; :func:`run_check` is a campaign of one spec.
+every spec, then runs each exact spec in one pass over its subjects and the
+subjects of all interval specs as one sweep, in (sweep index, spec position)
+order; :func:`run_check` is a campaign of one spec.  The interval sweep is cut
+into contiguous blocks of the sweep index, one forked worker per available
+CPU, while the caller runs the exact specs; the caller collects the blocks in
+order, so the items, and the report, do not depend on the number of workers.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
@@ -23,21 +27,26 @@ outward-rounded ``libmpi`` endpoint tuples, and every sign, the lambda
 bisection's included, is read off those endpoints by the one certify step
 :func:`~overpart.intervals.precision_ladder`; margins are picked among the raw
 endpoints and rendered directed.  The tests keep each formula's
-interval-context form as a bit-for-bit oracle.  A campaign gets one
-:class:`~overpart.ratio_bounds.KernelData` per precision rung, shared by all
-its checks, so the envelope checks at one index compute mu, the envelope and
-the window once between them; it is dropped when :func:`run_campaign`
-returns.
+interval-context form as a bit-for-bit oracle.  Each block of a campaign's
+sweep gets one :class:`~overpart.ratio_bounds.KernelData` per precision rung,
+shared by all its checks, so the envelope checks at one index compute mu, the
+envelope and the window once between them; only the few values next to a
+block's first index are computed again by that block.  It is dropped when the
+block ends.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import dropwhile, repeat, takewhile, zip_longest
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_cmp, mpf_sign
@@ -129,8 +138,9 @@ class CheckItem:
 
 @dataclass
 class CheckResult:
-    """One spec's items in subject order; ``wall_time`` is the summed time of
-    its own subjects within the campaign that ran it."""
+    """One spec's items in subject order; ``wall_time`` is the busy time of
+    its own subjects within the campaign that ran it, summed over the blocks
+    of its sweep, which may have run at the same time."""
 
     spec: CheckSpec
     items: List[CheckItem]
@@ -338,6 +348,119 @@ def _tagged(position: int, subjects: Iterable) -> Iterable[tuple]:
     return ((index, position, label, subject) for index, label, subject in subjects)
 
 
+# A block of the interval sweep gets its own worker only from this many
+# subjects on: forking one costs about 12 ms, an interval subject 100-250 us.
+_MIN_BLOCK = 1000
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; the one place the worker count is read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(indices: List[int]) -> List[Tuple[int, int]]:
+    """Split the sorted sweep ``indices`` into contiguous ranges [start, stop)
+    holding about equal counts of them: one range per CPU, but no more than
+    one per ``_MIN_BLOCK`` indices."""
+    if not indices:
+        return []
+    count = max(1, min(_cpus(), len(indices) // _MIN_BLOCK))
+    cuts = sorted({indices[len(indices) * k // count] for k in range(1, count)} - {indices[0]})
+    edges = [indices[0], *cuts, indices[-1] + 1]
+    return list(zip(edges, edges[1:]))
+
+
+def _sweep_block(table, checks: List[Check], specs: Sequence[CheckSpec],
+                 positions: List[int], start: int, stop: int):
+    """Run the subjects of the interval specs at ``positions`` whose sweep
+    index lies in [start, stop), in (sweep index, spec position) order with
+    one :class:`KernelData` per rung.  Returns, per spec position, its rows
+    as four columns (labels, verdicts, margins, bits) and the summed seconds
+    of its subjects."""
+    kernel_data = lru_cache(maxsize=None)(KernelData)
+    columns = [([], [], [], []) for _ in specs]
+    seconds = [0.0] * len(specs)
+    merged = heapq.merge(*(_tagged(position, checks[position].subjects(specs[position]))
+                           for position in positions))
+    block = takewhile(lambda tagged: tagged[0] < stop,
+                      dropwhile(lambda tagged: tagged[0] < start, merged))
+    last = time.perf_counter()
+    for _, position, label, subject in block:
+        gaps_at = checks[position].evaluate(table, subject)
+        outcome = _interval_outcome(gaps_at, specs[position].precision_bits, kernel_data)
+        for column, value in zip(columns[position], (label, *outcome)):
+            column.append(value)
+        now = time.perf_counter()
+        seconds[position] += now - last
+        last = now
+    return columns, seconds
+
+
+def _block_worker(writer: int, *block) -> None:
+    """A forked worker's body: pickle the block's columns into its pipe.  On an
+    error it stops writing, and the caller runs the block itself and raises
+    the error there."""
+    import pickle  # loaded with multiprocessing, by sweeps that fork
+
+    with open(writer, "wb") as stream:
+        try:
+            pickle.dump(_sweep_block(*block), stream)
+        except Exception:
+            pass
+
+
+def _start_workers(blocks: List[Tuple[int, int]], *sweep) -> list:
+    """One forked worker per block, with the read end of its pipe, up to the
+    first fork the system refuses; none when there is one block, ``fork`` is
+    missing, this process is a daemonic worker, which may not have children,
+    or it runs other threads, which could leave a lock held in the child."""
+    if len(blocks) < 2 or threading.active_count() > 1:
+        return []
+    import multiprocessing  # only a sweep that forks pays for the import
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return []
+    context = multiprocessing.get_context("fork")
+    # A forked child flushes the standard streams it inherits when it exits,
+    # so output still buffered here would be written twice.  CPython's fork
+    # start flushes them too, but does not document it.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    workers = []
+    for block in blocks:
+        reader, writer = os.pipe()
+        process = context.Process(target=_block_worker, args=(writer, *sweep, *block))
+        try:
+            process.start()
+        except OSError:  # fork refused: the caller runs this block and the rest
+            os.close(reader)
+            break
+        finally:
+            os.close(writer)
+        workers.append((process, open(reader, "rb")))
+    return workers
+
+
+def _receive(worker) -> Optional[tuple]:
+    """What a worker sent; None without a worker, or when it raised or died."""
+    if worker is None:
+        return None
+    import pickle
+
+    process, reader = worker
+    try:
+        return pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    finally:
+        reader.close()
+        process.join()
+
+
 def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
     """The campaign of ``spec`` alone."""
     return run_campaign(table, [spec])[0]
@@ -347,33 +470,53 @@ def run_campaign(
     table: Optional[OverpartitionTable],
     specs: Sequence[CheckSpec],
 ) -> List[CheckResult]:
-    """Sweep the subjects of all specs as one, once ``table`` covers every spec.
+    """Run the subjects of all specs, once ``table`` covers every spec.
 
-    Subjects run in (sweep index, spec position) order, so the checks share
-    one :class:`KernelData` per precision rung, dropped on return.  Returns
-    one result per spec, in spec order, with its items in subject order; its
-    ``wall_time`` is the summed time of its own subjects.
+    The interval subjects run as one sweep in (sweep index, spec position)
+    order, so the checks share one :class:`KernelData` per precision rung.
+    The sweep is cut into contiguous index blocks, one forked worker per
+    available CPU, while the caller runs each exact spec in one pass over its
+    own subjects.  With one block, without ``fork``, inside a daemonic worker
+    or beside other threads, the caller runs the block itself.  A block whose
+    worker raised or died is run again by the caller, so the error is raised
+    here; every worker is joined before this returns or raises.
+
+    Returns one result per spec, in spec order, with its items in subject
+    order; its ``wall_time`` is the busy time of its own subjects, summed
+    over blocks.
     """
     for spec in specs:
         if spec.table_top and (table is None or spec.table_top > table.max_n):
             have = "no table given" if table is None else f"table stops at {table.max_n}"
             raise IndexError(f"{spec.name} needs pbar(0..{spec.table_top}), {have}")
     checks = [CHECKS[spec.name] for spec in specs]
-    kernel_data = lru_cache(maxsize=None)(KernelData)
+    interval = [position for position, check in enumerate(checks) if not check.exact]
+    blocks = _blocks(sorted(index for position in interval
+                            for index, _, _ in checks[position].subjects(specs[position])))
+    sweep = (table, checks, specs, interval)
     items: List[List[CheckItem]] = [[] for _ in specs]
     seconds = [0.0] * len(specs)
-    streams = [_tagged(position, check.subjects(spec))
-               for position, (check, spec) in enumerate(zip(checks, specs))]
-    last = time.perf_counter()
-    for _, position, label, subject in heapq.merge(*streams):
-        check, spec = checks[position], specs[position]
-        value = check.evaluate(table, subject)
-        outcome = (_exact_outcome(value) if check.exact
-                   else _interval_outcome(value, spec.precision_bits, kernel_data))
-        items[position].append(CheckItem(spec.name, label, *outcome))
-        now = time.perf_counter()
-        seconds[position] += now - last
-        last = now
+    workers = _start_workers(blocks, *sweep)
+    try:
+        for position, (check, spec) in enumerate(zip(checks, specs)):
+            if check.exact:
+                began = time.perf_counter()
+                items[position] = [CheckItem(spec.name, label,
+                                             *_exact_outcome(check.evaluate(table, subject)))
+                                   for _, label, subject in check.subjects(spec)]
+                seconds[position] = time.perf_counter() - began
+        for worker, block in zip_longest(workers, blocks):
+            columns, spent = _receive(worker) or _sweep_block(*sweep, *block)
+            for position in interval:
+                items[position].extend(map(CheckItem, repeat(specs[position].name),
+                                           *columns[position]))
+                seconds[position] += spent[position]
+            del columns  # before the next block arrives
+    finally:
+        for process, reader in workers:
+            reader.close()
+            process.terminate()
+            process.join()
     return [CheckResult(spec=spec, items=found, wall_time=elapsed)
             for spec, found, elapsed in zip(specs, items, seconds)]
 

@@ -1,6 +1,15 @@
 import dataclasses
+import errno
+import hashlib
+import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +36,7 @@ from overpart import (
 )
 import context_kernels as oracle
 from overpart import ratio_bounds, verifiers
-from overpart.cli import DESK_SUITE
+from overpart.cli import DESK_SUITE, records_from_results, write_report
 from overpart.intervals import DEFAULT_BITS, MAX_BITS, rational_mpi
 from overpart.ratio_bounds import KernelData
 from overpart.verifiers import CHECK_NAMES, CHECKS, run_check
@@ -305,6 +314,7 @@ def test_kernel_data_is_a_window_freed_with_the_run(monkeypatch):
         return mu_mpi(m, prec)
 
     mu_mpi = ratio_bounds.mu_mpi
+    monkeypatch.setattr(verifiers, "_cpus", lambda: 1)  # the counts are the caller's
     monkeypatch.setattr(verifiers, "KernelData", Recording)
     monkeypatch.setattr(ratio_bounds, "mu_mpi", counting_mu)
     assert check_g_vs_f_shift(None, 2, 5614).ok
@@ -388,7 +398,8 @@ def test_run_campaign_gives_the_items_of_separate_runs(desk_table, interval_bits
 def test_envelope_checks_share_mu_and_envelope_data(desk_table, monkeypatch):
     # One campaign of the three envelope checks over their desk ranges computes
     # each mu(1..5616) once and each envelope member once: lower(2..5614) and
-    # upper(3..5615).
+    # upper(3..5615).  One worker: the counts are the caller's, and each
+    # further block recomputes the few values at its boundary.
     mu_calls, envelope_calls = [], []
 
     def counting_mu(m, prec):
@@ -400,6 +411,7 @@ def test_envelope_checks_share_mu_and_envelope_data(desk_table, monkeypatch):
         return envelope(prec, triple, signed)
 
     mu_mpi, envelope = ratio_bounds.mu_mpi, ratio_bounds._envelope
+    monkeypatch.setattr(verifiers, "_cpus", lambda: 1)
     monkeypatch.setattr(ratio_bounds, "mu_mpi", counting_mu)
     monkeypatch.setattr(ratio_bounds, "_envelope", counting_envelope)
     specs = [spec for spec in DESK_SUITE if spec.name in ("fg-sandwich", "g-vs-f-shift", "f-vs-q")]
@@ -407,6 +419,184 @@ def test_envelope_checks_share_mu_and_envelope_data(desk_table, monkeypatch):
     assert sorted(mu_calls) == list(range(1, 5617))
     assert len(envelope_calls) == len(set(envelope_calls)) == 11226
     assert sum(signed < 0 for _, signed in envelope_calls) == 5613
+
+
+DESK_CSV_SHA256 = "0872457593d100033b10c2fb0f8091090a9734628fe03b4b498944ed9fd7d1e9"
+
+
+def _count_workers(monkeypatch, cpus):
+    """Make ``cpus`` the CPU count that ``monkeypatch`` sets; returns the list
+    that records how many workers each campaign started."""
+    started = []
+    start = verifiers._start_workers
+
+    def counting(blocks, *sweep):
+        workers = start(blocks, *sweep)
+        started.append(len(workers))
+        return workers
+
+    monkeypatch.setattr(verifiers, "_cpus", lambda: cpus)
+    monkeypatch.setattr(verifiers, "_start_workers", counting)
+    return started
+
+
+def _csv_sha256(results):
+    report = io.StringIO()
+    write_report(records_from_results(results), "csv", report)
+    return hashlib.sha256(report.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def desk_one_worker(desk_table):
+    with pytest.MonkeyPatch.context() as patch:
+        started = _count_workers(patch, 1)
+        results = run_campaign(desk_table, DESK_SUITE)
+    assert started == [0]
+    return results
+
+
+def test_one_worker_writes_the_pinned_report(desk_one_worker):
+    assert _csv_sha256(desk_one_worker) == DESK_CSV_SHA256
+
+
+@pytest.mark.parametrize("cpus", (2, 3))
+def test_more_workers_keep_every_item_and_the_report(desk_table, desk_one_worker,
+                                                     monkeypatch, cpus):
+    started = _count_workers(monkeypatch, cpus)
+    results = run_campaign(desk_table, DESK_SUITE)
+    assert started == [cpus]
+    assert [result.items for result in results] == [result.items for result in desk_one_worker]
+    assert _csv_sha256(results) == DESK_CSV_SHA256
+    assert multiprocessing.active_children() == []
+
+
+# Two blocks of g-vs-f-shift, which reads no table.
+TWO_BLOCKS = CheckSpec("g-vs-f-shift", 2, 2 * verifiers._MIN_BLOCK + 1)
+
+
+class Boom(Exception):
+    pass
+
+
+def test_an_error_in_the_last_block_reaches_the_caller(monkeypatch):
+    def evaluate(table, n, check=CHECKS["g-vs-f-shift"]):
+        if n == TWO_BLOCKS.to_n:
+            raise Boom(n)
+        return check.evaluate(table, n)
+
+    started = _count_workers(monkeypatch, 2)
+    monkeypatch.setitem(CHECKS, "g-vs-f-shift",
+                        dataclasses.replace(CHECKS["g-vs-f-shift"], evaluate=evaluate))
+    with pytest.raises(Boom):
+        run_check(None, TWO_BLOCKS)
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_an_exact_check_stops_the_workers(desk_table, monkeypatch):
+    def evaluate(table, n):
+        raise Boom(n)
+
+    started = _count_workers(monkeypatch, 2)
+    monkeypatch.setitem(CHECKS, "log-concavity",
+                        dataclasses.replace(CHECKS["log-concavity"], evaluate=evaluate))
+    with pytest.raises(Boom):
+        run_campaign(desk_table, [CheckSpec("log-concavity", 2, 10), TWO_BLOCKS])
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_caller_runs_the_block_of_a_worker_that_died(monkeypatch):
+    reference = run_check(None, TWO_BLOCKS)
+    caller = os.getpid()
+
+    def evaluate(table, n, check=CHECKS["g-vs-f-shift"]):
+        if n == 2 and os.getpid() != caller:
+            os._exit(1)
+        return check.evaluate(table, n)
+
+    started = _count_workers(monkeypatch, 2)
+    monkeypatch.setitem(CHECKS, "g-vs-f-shift",
+                        dataclasses.replace(CHECKS["g-vs-f-shift"], evaluate=evaluate))
+    assert run_check(None, TWO_BLOCKS).items == reference.items
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_caller_runs_the_blocks_of_a_refused_fork(monkeypatch):
+    reference = run_check(None, TWO_BLOCKS)
+    forks, fork = [], os.fork
+
+    def refusing_the_second():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    started = _count_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refusing_the_second)
+    assert run_check(None, TWO_BLOCKS).items == reference.items
+    assert started == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemonic_caller_runs_its_blocks_itself(monkeypatch):
+    reference = run_check(None, TWO_BLOCKS)
+    started = _count_workers(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert run_check(None, TWO_BLOCKS).items == reference.items
+    assert started == [0]
+
+
+def test_a_caller_with_other_threads_runs_its_blocks_itself(monkeypatch):
+    reference = run_check(None, TWO_BLOCKS)
+    started = _count_workers(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert run_check(None, TWO_BLOCKS).items == reference.items
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive() and started == [0]
+
+
+def test_output_buffered_before_the_workers_start_is_written_once():
+    # Both streams are pipes here and PYTHONUNBUFFERED is unset, so the pending
+    # text is still buffered when the campaign forks; each worker flushes
+    # what it inherited as it exits.
+    script = (
+        "import sys\n"
+        "from overpart import verifiers\n"
+        "verifiers._cpus = lambda: 2\n"
+        "sys.stdout.write('pending out')\n"
+        "sys.stderr.write('pending err')\n"
+        f"assert verifiers.run_check(None, verifiers.CheckSpec('g-vs-f-shift', 2, "
+        f"{TWO_BLOCKS.to_n})).ok\n")
+    source = str(Path(verifiers.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "pending out", "pending err")
+
+
+@given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=3000),
+       cpus=st.integers(1, 8))
+@example(counts=[4] * 2000, cpus=8)
+@example(counts=[1] * 2 * 1000, cpus=2)
+def test_blocks_are_contiguous_with_about_equal_counts(counts, cpus):
+    # Index n occurs counts[n] times, as index n of several specs would.
+    indices = [n for n, count in enumerate(counts) for _ in range(count)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifiers, "_cpus", lambda: cpus)
+        blocks = verifiers._blocks(indices)
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    sizes = [sum(counts[start:stop]) for start, stop in blocks]
+    assert len(blocks) == max(1, min(cpus, len(indices) // verifiers._MIN_BLOCK))
+    assert all(abs(size - len(indices) / len(blocks)) <= 2 * max(counts) for size in sizes)
 
 
 def test_run_campaign_validates_every_spec_before_sweeping(desk_table, monkeypatch):
