@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import heapq
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -398,51 +397,34 @@ def _sweep_block(table, checks: List[Check], specs: Sequence[CheckSpec],
     return columns, seconds
 
 
-def _block_worker(writer: int, *block) -> None:
-    """A forked worker's body: pickle the block's columns into its pipe.  On an
-    error it stops writing, and the caller runs the block itself and raises
-    the error there."""
-    import pickle  # loaded with multiprocessing, by sweeps that fork
+def _start_workers(blocks: List[Tuple[int, int]], *sweep) -> Iterable[tuple]:
+    """Fork one worker per block and yield its pid and the read end of its
+    pipe, up to the first fork the system refuses; none when there is one
+    block, ``fork`` is missing, or this process runs other threads, which
+    could leave a lock held in the child.  A worker pickles the block's
+    columns into its pipe, or nothing when it raised, and always leaves by
+    ``os._exit``: it flushes no inherited stream and never returns into the
+    caller's code."""
+    if len(blocks) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return
+    import pickle  # only a sweep that forks pays for the import
 
-    with open(writer, "wb") as stream:
-        try:
-            pickle.dump(_sweep_block(*block), stream)
-        except Exception:
-            pass
-
-
-def _start_workers(blocks: List[Tuple[int, int]], *sweep) -> list:
-    """One forked worker per block, with the read end of its pipe, up to the
-    first fork the system refuses; none when there is one block, ``fork`` is
-    missing, this process is a daemonic worker, which may not have children,
-    or it runs other threads, which could leave a lock held in the child."""
-    if len(blocks) < 2 or threading.active_count() > 1:
-        return []
-    import multiprocessing  # only a sweep that forks pays for the import
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return []
-    context = multiprocessing.get_context("fork")
-    # A forked child flushes the standard streams it inherits when it exits,
-    # so output still buffered here would be written twice.  CPython's fork
-    # start flushes them too, but does not document it.
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-    workers = []
     for block in blocks:
         reader, writer = os.pipe()
-        process = context.Process(target=_block_worker, args=(writer, *sweep, *block))
         try:
-            process.start()
+            pid = os.fork()
         except OSError:  # fork refused: the caller runs this block and the rest
             os.close(reader)
-            break
-        finally:
             os.close(writer)
-        workers.append((process, open(reader, "rb")))
-    return workers
+            return
+        if pid == 0:
+            try:
+                with open(writer, "wb") as stream:
+                    pickle.dump(_sweep_block(*sweep, *block), stream)
+            finally:
+                os._exit(0)
+        os.close(writer)
+        yield pid, open(reader, "rb")
 
 
 def _receive(worker) -> Optional[tuple]:
@@ -451,14 +433,10 @@ def _receive(worker) -> Optional[tuple]:
         return None
     import pickle
 
-    process, reader = worker
     try:
-        return pickle.load(reader)
+        return pickle.load(worker[1])
     except (EOFError, pickle.UnpicklingError):
         return None
-    finally:
-        reader.close()
-        process.join()
 
 
 def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
@@ -476,10 +454,10 @@ def run_campaign(
     order, so the checks share one :class:`KernelData` per precision rung.
     The sweep is cut into contiguous index blocks, one forked worker per
     available CPU, while the caller runs each exact spec in one pass over its
-    own subjects.  With one block, without ``fork``, inside a daemonic worker
-    or beside other threads, the caller runs the block itself.  A block whose
-    worker raised or died is run again by the caller, so the error is raised
-    here; every worker is joined before this returns or raises.
+    own subjects.  With one block, without ``fork`` or beside other threads,
+    the caller runs the block itself.  A block whose worker raised or died is
+    run again by the caller, so the error is raised here; every worker is
+    stopped and reaped before this returns or raises.
 
     Returns one result per spec, in spec order, with its items in subject
     order; its ``wall_time`` is the busy time of its own subjects, summed
@@ -496,8 +474,9 @@ def run_campaign(
     sweep = (table, checks, specs, interval)
     items: List[List[CheckItem]] = [[] for _ in specs]
     seconds = [0.0] * len(specs)
-    workers = _start_workers(blocks, *sweep)
+    workers: list = []
     try:
+        workers.extend(_start_workers(blocks, *sweep))  # each kept as soon as it is forked
         for position, (check, spec) in enumerate(zip(checks, specs)):
             if check.exact:
                 began = time.perf_counter()
@@ -512,11 +491,12 @@ def run_campaign(
                                            *columns[position]))
                 seconds[position] += spent[position]
             del columns  # before the next block arrives
-    finally:
-        for process, reader in workers:
+    finally:  # the one place a worker is stopped and reaped, so no signal reaches a reused pid
+        for pid, reader in workers:
+            from signal import SIGTERM  # as pickle, only a sweep that forked imports it
             reader.close()
-            process.terminate()
-            process.join()
+            os.kill(pid, SIGTERM)
+            os.waitpid(pid, 0)
     return [CheckResult(spec=spec, items=found, wall_time=elapsed)
             for spec, found, elapsed in zip(specs, items, seconds)]
 

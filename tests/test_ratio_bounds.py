@@ -324,6 +324,16 @@ def test_discriminant_is_27_times_third_order_expression(desk_table):
         assert disc == 27 * higher_turan_integer(desk_table, n), n
 
 
+@given(st.tuples(*[st.integers()] * 4))
+@example((0, 0, 0, 0))
+@example((1, -2, 3, -4))
+def test_discriminant_is_27_times_third_order_expression_for_any_values(values):
+    # The correspondence is a polynomial identity in four values, so it holds
+    # for any integers, not only for overpartition counts.
+    table = overpart.OverpartitionTable(values)
+    assert jensen_cubic(table, 0)[1] == 27 * higher_turan_integer(table, 1)
+
+
 def test_third_order_expression_matches_rational_form(desk_table):
     # Clearing denominators must agree with the direct rational expression.
     for n in (3, 4, 10, 57):
@@ -370,6 +380,21 @@ def test_quadratic_kernels_enclose_exact_roots(r, bits):
     assert diagonal_gap(ti).contains(q - t)
     lower, upper = turan_quadratic_roots(t, bits)
     assert lower.contains(p) and upper.contains(q)
+
+
+@given(r=st.fractions(min_value=0, max_value=1).filter(lambda r: 0 < r < 1))
+@example(r=Fraction(1, 2))
+@example(r=Fraction(5, 8))  # 1 - r - r^2 = -1/64, just past (sqrt 5 - 1)/2
+@example(r=Fraction(3, 5))  # 1 - r - r^2 = 1/25, just before it
+def test_upper_root_closed_form_and_exact_golden_threshold(r):
+    # At t = 1 - r^2, Q(t) = (1 + 2r)/(1 + r)^2 and
+    # Q(t) - t - (1-t)^{3/2} = r^3 (1 - r - r^2)/(1 + r)^2, whose sign changes
+    # exactly at r = (sqrt 5 - 1)/2.
+    t = 1 - r ** 2
+    q = quadratic_upper_root_exact(t)
+    assert q == (1 + 2 * r) / (1 + r) ** 2
+    gap, golden = q - t - r ** 3, 1 - r - r ** 2
+    assert (gap > 0, gap < 0) == (golden > 0, golden < 0)
 
 
 def _horner(coeffs, t):

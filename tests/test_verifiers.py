@@ -431,13 +431,19 @@ def _count_workers(monkeypatch, cpus):
     start = verifiers._start_workers
 
     def counting(blocks, *sweep):
-        workers = start(blocks, *sweep)
+        workers = list(start(blocks, *sweep))
         started.append(len(workers))
         return workers
 
     monkeypatch.setattr(verifiers, "_cpus", lambda: cpus)
     monkeypatch.setattr(verifiers, "_start_workers", counting)
     return started
+
+
+def assert_no_child_left():
+    """Every child of this process has been reaped: none runs, none is a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _csv_sha256(results):
@@ -467,7 +473,7 @@ def test_more_workers_keep_every_item_and_the_report(desk_table, desk_one_worker
     assert started == [cpus]
     assert [result.items for result in results] == [result.items for result in desk_one_worker]
     assert _csv_sha256(results) == DESK_CSV_SHA256
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # Two blocks of g-vs-f-shift, which reads no table.
@@ -490,7 +496,7 @@ def test_an_error_in_the_last_block_reaches_the_caller(monkeypatch):
     with pytest.raises(Boom):
         run_check(None, TWO_BLOCKS)
     assert started == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_an_error_in_an_exact_check_stops_the_workers(desk_table, monkeypatch):
@@ -503,7 +509,7 @@ def test_an_error_in_an_exact_check_stops_the_workers(desk_table, monkeypatch):
     with pytest.raises(Boom):
         run_campaign(desk_table, [CheckSpec("log-concavity", 2, 10), TWO_BLOCKS])
     assert started == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_the_caller_runs_the_block_of_a_worker_that_died(monkeypatch):
@@ -520,7 +526,7 @@ def test_the_caller_runs_the_block_of_a_worker_that_died(monkeypatch):
                         dataclasses.replace(CHECKS["g-vs-f-shift"], evaluate=evaluate))
     assert run_check(None, TWO_BLOCKS).items == reference.items
     assert started == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_the_caller_runs_the_blocks_of_a_refused_fork(monkeypatch):
@@ -537,15 +543,33 @@ def test_the_caller_runs_the_blocks_of_a_refused_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", refusing_the_second)
     assert run_check(None, TWO_BLOCKS).items == reference.items
     assert started == [1]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
-def test_a_daemonic_caller_runs_its_blocks_itself(monkeypatch):
+def test_an_error_while_forking_stops_the_workers_already_forked(monkeypatch):
+    forks, fork = [], os.fork
+
+    def failing_the_second():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise Boom("second fork")
+        return fork()
+
+    monkeypatch.setattr(verifiers, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", failing_the_second)
+    with pytest.raises(Boom):
+        run_check(None, TWO_BLOCKS)
+    assert forks == [0, 1]
+    assert_no_child_left()
+
+
+def test_a_daemonic_caller_forks_like_any_other(monkeypatch):
     reference = run_check(None, TWO_BLOCKS)
     started = _count_workers(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     assert run_check(None, TWO_BLOCKS).items == reference.items
-    assert started == [0]
+    assert started == [2]
+    assert_no_child_left()
 
 
 def test_a_caller_with_other_threads_runs_its_blocks_itself(monkeypatch):
@@ -562,11 +586,20 @@ def test_a_caller_with_other_threads_runs_its_blocks_itself(monkeypatch):
     assert not other.is_alive() and started == [0]
 
 
+def _run_script(script):
+    """Run ``script`` in a fresh interpreter on this checkout's package, with
+    PYTHONUNBUFFERED unset, so its standard streams, both pipes, are buffered."""
+    source = str(Path(verifiers.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 def test_output_buffered_before_the_workers_start_is_written_once():
-    # Both streams are pipes here and PYTHONUNBUFFERED is unset, so the pending
-    # text is still buffered when the campaign forks; each worker flushes
-    # what it inherited as it exits.
-    script = (
+    # The pending text is still buffered when the campaign forks; the workers
+    # leave by os._exit, which flushes nothing, so only the caller writes it.
+    done = _run_script(
         "import sys\n"
         "from overpart import verifiers\n"
         "verifiers._cpus = lambda: 2\n"
@@ -574,12 +607,29 @@ def test_output_buffered_before_the_workers_start_is_written_once():
         "sys.stderr.write('pending err')\n"
         f"assert verifiers.run_check(None, verifiers.CheckSpec('g-vs-f-shift', 2, "
         f"{TWO_BLOCKS.to_n})).ok\n")
-    source = str(Path(verifiers.__file__).resolve().parents[1])
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "pending out", "pending err")
+
+
+def test_a_worker_never_returns_into_the_callers_code():
+    # Each worker raises KeyboardInterrupt, which nothing in the sweep catches.
+    # A worker that returned from the fork would print "escaped"; the caller
+    # runs both blocks again itself and prints "done" once.
+    done = _run_script(
+        "import dataclasses, os\n"
+        "from overpart import verifiers\n"
+        "verifiers._cpus = lambda: 2\n"
+        "caller, check = os.getpid(), verifiers.CHECKS['g-vs-f-shift']\n"
+        "def evaluate(table, n):\n"
+        "    if os.getpid() != caller:\n"
+        "        raise KeyboardInterrupt\n"
+        "    return check.evaluate(table, n)\n"
+        "verifiers.CHECKS['g-vs-f-shift'] = dataclasses.replace(check, evaluate=evaluate)\n"
+        "try:\n"
+        f"    verifiers.run_check(None, verifiers.CheckSpec('g-vs-f-shift', 2, {TWO_BLOCKS.to_n}))\n"
+        "    print('done')\n"
+        "except BaseException:\n"
+        "    print('escaped')\n")
+    assert (done.returncode, done.stdout) == (0, "done\n")
 
 
 @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=3000),
