@@ -37,6 +37,7 @@ from .asymptotics import (
 )
 from .verifiers import (
     CHECK_NAMES,
+    CHECKS,
     CheckItem,
     CheckResult,
     CheckSpec,
@@ -164,7 +165,7 @@ def _run(specs: Sequence[CheckSpec], args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {"m_policy": args.m_policy} if args.check == "strong-log-concavity" else {}
+    params = {"m_policy": args.m_policy} if "m_policy" in CHECKS[args.check].params else {}
     try:
         spec = CheckSpec(args.check, args.from_n, args.to_n, args.bits, params)
     except (IndexError, ValueError) as exc:

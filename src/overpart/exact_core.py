@@ -187,7 +187,7 @@ def enumerate_overpartitions(n: int) -> int:
 #   nothing else loads)
 #   trailing line   #sha256 <hex digest of all preceding bytes>
 
-_MAGIC = "OPART v1"
+_MAGIC = b"OPART v1"
 _ZERO = ord("0")
 
 
@@ -197,9 +197,8 @@ def save_table(table: OverpartitionTable, path) -> str:
     The bytes go to a temporary file next to ``path`` that then replaces it,
     so an interrupted write never leaves a partial table under ``path``.
     """
-    lines = [f"{_MAGIC} {table.max_n}\n"]
-    lines.extend(f"{n}\t{value}\n" for n, value in enumerate(table.values))
-    payload = "".join(lines).encode("ascii")
+    payload = b"".join([b"%s %d\n" % (_MAGIC, table.max_n),
+                        *(b"%d\t%d\n" % record for record in enumerate(table.values))])
     digest = hashlib.sha256(payload).hexdigest()
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     try:
@@ -227,13 +226,14 @@ def load_table(path) -> OverpartitionTable:
     if not trailer.startswith(b"#sha256 "):
         raise TableFormatError("missing checksum trailer")
     stated = trailer[len(b"#sha256 "):].decode("ascii", errors="replace").strip()
-    payload = b"\n".join(lines[:-1]) + b"\n"
-    actual = hashlib.sha256(payload).hexdigest()
+    # The payload is every byte before the trailer line, hashed in place.
+    end = len(raw) - len(trailer) - raw.endswith(b"\n")
+    actual = hashlib.sha256(memoryview(raw)[:end]).hexdigest()
     if stated != actual:
         raise TableFormatError(f"checksum mismatch: file says {stated}, content is {actual}")
 
     magic, _, max_field = lines[0].rpartition(b" ")
-    if magic != _MAGIC.encode():
+    if magic != _MAGIC:
         raise TableFormatError(f"bad header line: {lines[0]!r}")
 
     values = []

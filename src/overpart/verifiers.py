@@ -14,12 +14,12 @@ Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
 the table it needs, its subjects and its per-subject evaluator.  A
 :class:`CheckSpec` is validated against its entry when it is built, and
 records the table it needs; :func:`run_campaign` checks that the table covers
-every spec, then runs each exact spec in one pass over its subjects and the
-subjects of all interval specs as one sweep, in (sweep index, spec position)
-order; :func:`run_check` is a campaign of one spec.  The interval sweep is cut
-into contiguous blocks of the sweep index, one forked worker per available
-CPU, while the caller runs the exact specs; the caller collects the blocks in
-order, so the items, and the report, do not depend on the number of workers.
+every spec, then runs each exact spec in one pass over its subjects, and all
+interval specs, which have one subject per index n, as one sweep over n in
+(n, spec position) order; :func:`run_check` is a campaign of one spec.  The
+interval sweep is cut into contiguous blocks of n, one forked worker per
+available CPU, while the caller runs the exact specs; the caller collects the
+blocks in order, so the items, and the report, do not depend on the workers.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
@@ -38,14 +38,13 @@ block ends.
 from __future__ import annotations
 
 import enum
-import heapq
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import dropwhile, repeat, takewhile, zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_cmp, mpf_sign
@@ -215,13 +214,13 @@ def _interval_outcome(gaps_at: Callable, start_bits: int,
 # re-evaluated at each rung of the ladder with that rung's KernelData.
 
 
-def _indices(spec: CheckSpec) -> Iterable[Tuple[int, str, int]]:
-    return ((n, f"n={n}", n) for n in range(spec.from_n, spec.to_n + 1))
+def _indices(spec: CheckSpec) -> Iterable[Tuple[str, int]]:
+    return ((f"n={n}", n) for n in range(spec.from_n, spec.to_n + 1))
 
 
-def _strong_pairs(spec: CheckSpec) -> Iterable[Tuple[int, str, Tuple[int, int]]]:
+def _strong_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
     m_policy = spec.params.get("m_policy", 1)
-    return ((n, f"n={n},m={m}", (n, m)) for n in range(spec.from_n, spec.to_n + 1)
+    return ((f"n={n},m={m}", (n, m)) for n in range(spec.from_n, spec.to_n + 1)
             for m in range(m_policy, n))
 
 
@@ -232,9 +231,9 @@ def _strong_top(spec: CheckSpec) -> int:
     return 2 * spec.to_n - 1
 
 
-def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[int, str, Tuple[int, int]]]:
+def _multiplicative_pairs(spec: CheckSpec) -> Iterable[Tuple[str, Tuple[int, int]]]:
     a_max = spec.params.get("a_max", spec.to_n)
-    return ((a, f"a={a},b={b}", (a, b)) for a in range(spec.from_n, a_max + 1)
+    return ((f"a={a},b={b}", (a, b)) for a in range(spec.from_n, a_max + 1)
             for b in range(a, spec.to_n + 1))
 
 
@@ -301,10 +300,10 @@ class Check:
 
     ``table_top(spec)`` is the highest index of pbar the spec reads (0 when
     the check reads no table) and raises ValueError on parameters the check
-    does not accept; ``subjects(spec)`` yields (sweep index, label, subject) in
-    report order, the index nondecreasing: n for an index or an (n, m) pair, a
-    for an (a, b) pair; ``evaluate(table, subject)`` is exact or interval as
-    ``exact`` says.
+    does not accept; ``subjects(spec)`` yields (label, subject) in report
+    order, read by the exact pass alone: an interval check has one subject per
+    index, ("n=<n>", n), which the sweep walks itself; ``evaluate(table,
+    subject)`` is exact or interval as ``exact`` says.
     """
 
     name: str
@@ -343,10 +342,6 @@ CHECKS: Dict[str, Check] = {check.name: check for check in (
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _tagged(position: int, subjects: Iterable) -> Iterable[tuple]:
-    return ((index, position, label, subject) for index, label, subject in subjects)
-
-
 # A block of the interval sweep gets its own worker only from this many
 # subjects on: forking one costs about 12 ms, an interval subject 100-250 us.
 _MIN_BLOCK = 1000
@@ -360,9 +355,9 @@ def _cpus() -> int:
 
 
 def _blocks(indices: List[int]) -> List[Tuple[int, int]]:
-    """Split the sorted sweep ``indices`` into contiguous ranges [start, stop)
-    holding about equal counts of them: one range per CPU, but no more than
-    one per ``_MIN_BLOCK`` indices."""
+    """Split the sorted ``indices``, n once per interval subject, into
+    contiguous ranges [start, stop) holding about equal counts of them: one
+    range per CPU, but no more than one per ``_MIN_BLOCK`` indices."""
     if not indices:
         return []
     count = max(1, min(_cpus(), len(indices) // _MIN_BLOCK))
@@ -373,27 +368,26 @@ def _blocks(indices: List[int]) -> List[Tuple[int, int]]:
 
 def _sweep_block(table, checks: List[Check], specs: Sequence[CheckSpec],
                  positions: List[int], start: int, stop: int):
-    """Run the subjects of the interval specs at ``positions`` whose sweep
-    index lies in [start, stop), in (sweep index, spec position) order with
-    one :class:`KernelData` per rung.  Returns, per spec position, its rows
-    as four columns (labels, verdicts, margins, bits) and the summed seconds
-    of its subjects."""
+    """For each n in [start, stop), evaluate subject n, labelled "n=<n>", of
+    each interval spec at ``positions`` whose range holds n, in spec order,
+    with one :class:`KernelData` per rung.  Returns, per spec position, its
+    rows as four columns (labels, verdicts, margins, bits) and the summed
+    seconds of its subjects."""
     kernel_data = lru_cache(maxsize=None)(KernelData)
     columns = [([], [], [], []) for _ in specs]
     seconds = [0.0] * len(specs)
-    merged = heapq.merge(*(_tagged(position, checks[position].subjects(specs[position]))
-                           for position in positions))
-    block = takewhile(lambda tagged: tagged[0] < stop,
-                      dropwhile(lambda tagged: tagged[0] < start, merged))
     last = time.perf_counter()
-    for _, position, label, subject in block:
-        gaps_at = checks[position].evaluate(table, subject)
-        outcome = _interval_outcome(gaps_at, specs[position].precision_bits, kernel_data)
-        for column, value in zip(columns[position], (label, *outcome)):
-            column.append(value)
-        now = time.perf_counter()
-        seconds[position] += now - last
-        last = now
+    for n in range(start, stop):
+        for position in positions:
+            spec = specs[position]
+            if spec.from_n <= n <= spec.to_n:
+                gaps_at = checks[position].evaluate(table, n)
+                outcome = _interval_outcome(gaps_at, spec.precision_bits, kernel_data)
+                for column, value in zip(columns[position], (f"n={n}", *outcome)):
+                    column.append(value)
+                now = time.perf_counter()
+                seconds[position] += now - last
+                last = now
     return columns, seconds
 
 
@@ -450,9 +444,9 @@ def run_campaign(
 ) -> List[CheckResult]:
     """Run the subjects of all specs, once ``table`` covers every spec.
 
-    The interval subjects run as one sweep in (sweep index, spec position)
-    order, so the checks share one :class:`KernelData` per precision rung.
-    The sweep is cut into contiguous index blocks, one forked worker per
+    The interval specs run as one sweep over n in (n, spec position) order,
+    so the checks share one :class:`KernelData` per precision rung.  The
+    sweep is cut into contiguous blocks of n, one forked worker per
     available CPU, while the caller runs each exact spec in one pass over its
     own subjects.  With one block, without ``fork`` or beside other threads,
     the caller runs the block itself.  A block whose worker raised or died is
@@ -469,8 +463,8 @@ def run_campaign(
             raise IndexError(f"{spec.name} needs pbar(0..{spec.table_top}), {have}")
     checks = [CHECKS[spec.name] for spec in specs]
     interval = [position for position, check in enumerate(checks) if not check.exact]
-    blocks = _blocks(sorted(index for position in interval
-                            for index, _, _ in checks[position].subjects(specs[position])))
+    blocks = _blocks(sorted(n for position in interval
+                            for n in range(specs[position].from_n, specs[position].to_n + 1)))
     sweep = (table, checks, specs, interval)
     items: List[List[CheckItem]] = [[] for _ in specs]
     seconds = [0.0] * len(specs)
@@ -482,7 +476,7 @@ def run_campaign(
                 began = time.perf_counter()
                 items[position] = [CheckItem(spec.name, label,
                                              *_exact_outcome(check.evaluate(table, subject)))
-                                   for _, label, subject in check.subjects(spec)]
+                                   for label, subject in check.subjects(spec)]
                 seconds[position] = time.perf_counter() - began
         for worker, block in zip_longest(workers, blocks):
             columns, spent = _receive(worker) or _sweep_block(*sweep, *block)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +102,33 @@ def test_build_determinism(tmp_path):
     d2 = save_table(build_table(200), p2)
     assert d1 == d2
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_table_writes_the_pinned_bytes(tmp_path):
+    # The file format's bytes, pinned: the payload digest save_table returns
+    # and the sha256 of the whole file, trailer included.
+    path = tmp_path / "t.tbl"
+    digest = save_table(build_table(2000), path)
+    assert digest == "30c7b8a204009e14cc36e4d3b785dbe97c5c545d248c37946762ffcec3f1054b"
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "666387197dbee49281591f07585d4c2dcfaacf53766f74878ebeab3241e0f964")
+
+
+def test_load_table_checks_the_payload_in_place(tmp_path):
+    # The checksum is taken over the bytes as read: loading pbar(0..31000),
+    # a 5 MB file, allocates at its peak less than 3.5 times the file, which
+    # a second copy of the payload would exceed.
+    table = build_table(31000)
+    path = tmp_path / "t.tbl"
+    save_table(table, path)
+    tracemalloc.start()
+    try:
+        loaded = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == table
+    assert peak < 3.5 * path.stat().st_size
 
 
 def test_memory_budget_guard():

@@ -197,9 +197,13 @@ def test_diagonal_gap_examples_and_monotonicity():
 
 
 def test_diagonal_gap_exceeds_three_halves_power_past_golden_ratio():
-    # On ((sqrt 5 - 1)/2, 1) the gap dominates (1-t)^{3/2}.  (The reverse
-    # inequality printed in the source text contradicts both its own displayed
-    # identity and direct evaluation, e.g. at t = 0.8.)
+    # On ((sqrt 5 - 1)/2, 1) the gap dominates (1-t)^{3/2}: with r = sqrt(1-t),
+    # psi(t) - (1-t)^{3/2} = r^3 (1 - r - r^2)/(1+r)^2, positive exactly when
+    # r^2 + r < 1, that is when t > (sqrt 5 - 1)/2; the property test
+    # test_upper_root_closed_form_and_exact_golden_threshold asserts it for
+    # rational r.  (The reverse inequality printed in the source text
+    # contradicts both its own displayed identity and direct evaluation,
+    # e.g. at t = 0.8.)
     for k in range(1, 40):
         t_fraction = GOLDEN + (1 - GOLDEN) * Fraction(k, 40)
         t = CertifiedInterval.from_fraction(t_fraction, 128)
@@ -368,12 +372,15 @@ def test_envelope_kernel_encloses_exact_value_on_progressions(y, spread, signed,
 @given(r=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: 0 < r < 1),
        bits=st.sampled_from([64, 128, 256]))
 @example(r=Fraction(2, 7), bits=128)  # t = 45/49
+@example(r=Fraction(1, 10 ** 6), bits=128)  # t next to 1, where the roots close in
 def test_quadratic_kernels_enclose_exact_roots(r, bits):
-    # At t = 1 - r^2, sqrt((1-t)^3) = r^3 is rational, so P and Q are too.
+    # At t = 1 - r^2, sqrt((1-t)^3) = r^3 is rational, so P and Q are too:
+    # P = (1-2r)/(1-r)^2 and Q = (1+2r)/(1+r)^2.
     t = 1 - r ** 2
     q = quadratic_upper_root_exact(t)
     p = (3 * t - 2 * r ** 3 - 2) / t ** 2
     assert q == (3 * t + 2 * r ** 3 - 2) / t ** 2
+    assert (p, q) == ((1 - 2 * r) / (1 - r) ** 2, (1 + 2 * r) / (1 + r) ** 2)
     assert turan_quadratic_at(t, p) == 0 == turan_quadratic_at(t, q)
     ti = CertifiedInterval.from_fraction(t, bits)
     assert quadratic_upper_root(ti).contains(q)
@@ -387,14 +394,28 @@ def test_quadratic_kernels_enclose_exact_roots(r, bits):
 @example(r=Fraction(5, 8))  # 1 - r - r^2 = -1/64, just past (sqrt 5 - 1)/2
 @example(r=Fraction(3, 5))  # 1 - r - r^2 = 1/25, just before it
 def test_upper_root_closed_form_and_exact_golden_threshold(r):
-    # At t = 1 - r^2, Q(t) = (1 + 2r)/(1 + r)^2 and
+    # At t = 1 - r^2, Q(t) = (1 + 2r)/(1 + r)^2, the other root of F is
+    # P = (1 - 2r)/(1 - r)^2, and
     # Q(t) - t - (1-t)^{3/2} = r^3 (1 - r - r^2)/(1 + r)^2, whose sign changes
     # exactly at r = (sqrt 5 - 1)/2.
     t = 1 - r ** 2
     q = quadratic_upper_root_exact(t)
     assert q == (1 + 2 * r) / (1 + r) ** 2
+    assert turan_quadratic_at(t, (1 - 2 * r) / (1 - r) ** 2) == turan_quadratic_at(t, q) == 0
     gap, golden = q - t - r ** 3, 1 - r - r ** 2
     assert (gap > 0, gap < 0) == (golden > 0, golden < 0)
+
+
+@given(pair=st.lists(st.fractions(min_value=0, max_value=1).filter(lambda r: 0 < r < 1),
+                     min_size=2, max_size=2, unique=True).map(sorted))
+@example(pair=[Fraction(1, 3), Fraction(1, 2)])
+def test_upper_root_increasing_and_diagonal_gap_decreasing(pair):
+    # u = 1 - r^2 falls as r grows, so r1 < r2 gives u1 > u2: Q is larger at
+    # u1 and psi = Q - u smaller.
+    u1, u2 = (1 - r ** 2 for r in pair)
+    q1, q2 = quadratic_upper_root_exact(u1), quadratic_upper_root_exact(u2)
+    assert q1 > q2
+    assert q1 - u1 < q2 - u2
 
 
 def _horner(coeffs, t):

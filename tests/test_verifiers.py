@@ -778,6 +778,10 @@ def test_registry_table_top_is_exact(desk_table, arguments):
         patch.setitem(CHECKS, name, dataclasses.replace(check, evaluate=counting))
         result = run_check(OverpartitionTable(desk_table.values[:spec.table_top + 1]), spec)
         assert len(calls) == len(result.items) == len(list(check.subjects(spec)))
+        # the sweep labels and evaluates exactly the registry's subjects
+        labels = [label for label, _ in check.subjects(spec)]
+        assert [item.subject for item in result.items] == labels
+        assert calls == [subject for _, subject in check.subjects(spec)]
         # only strong log-concavity with m >= 2 at n = 2 alone has no subject
         assert calls or params.get("m_policy") == to_n == 2
         assert result.spec == spec
@@ -786,6 +790,17 @@ def test_registry_table_top_is_exact(desk_table, arguments):
         with pytest.raises(IndexError):
             run_check(OverpartitionTable(desk_table.values[:spec.table_top]), spec)
         assert calls == [], name
+
+
+def test_interval_checks_have_one_subject_per_index():
+    # The sweep walks n over a block itself and labels subject n "n=<n>"; it
+    # relies on each interval entry yielding exactly these subjects.
+    for name, check in CHECKS.items():
+        if check.exact:
+            continue
+        for from_n, to_n in ((check.min_n, check.min_n), (check.min_n, 70), (60, 70)):
+            subjects = list(check.subjects(CheckSpec(name, from_n, to_n)))
+            assert subjects == [(f"n={n}", n) for n in range(from_n, to_n + 1)], name
 
 
 def test_table_reading_check_without_a_table_fails_before_evaluating(monkeypatch):
