@@ -13,7 +13,6 @@ from .exact_core import (
     OverpartitionTable,
     TableFormatError,
     build_table,
-    enumerate_overpartitions,
     load_table,
     save_table,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "check_strong_log_concavity",
     "check_u_monotone",
     "diagonal_gap",
-    "enumerate_overpartitions",
     "higher_turan_integer",
     "jensen_cubic",
     "load_table",

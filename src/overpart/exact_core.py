@@ -19,22 +19,16 @@ gives the recurrence the builder runs:
 Each index sums about sqrt(n) earlier values, so the whole table costs
 O(n^{3/2}) big-integer additions instead of the O(n^2) of a direct
 convolution, in one pass with no intermediate series.
-
-A deliberately naive enumeration oracle is included for test-time
-cross-checking only; it walks every partition and weights it by 2^(number of
-distinct parts).
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import math
 import os
 from typing import Iterator, Sequence, Tuple
 
-ENUMERATION_LIMIT = 60
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes
 
 
@@ -157,27 +151,6 @@ def _validate_values(values: Sequence[int]) -> None:
             raise AssertionError(f"pbar not increasing at {n}")
 
 
-def enumerate_overpartitions(n: int) -> int:
-    """Brute-force overpartition count: every partition of n weighted by
-    2^(distinct parts), memoized per call on (remaining, max_part).  Guarded
-    to n <= 60; meant for tests only."""
-    if check_int(n, "n", 0) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration oracle is exponential and capped at n = {ENUMERATION_LIMIT}")
-
-    @functools.lru_cache(maxsize=None)
-    def count(remaining: int, max_part: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for part in range(min(remaining, max_part), 0, -1):
-            for copies in range(1, remaining // part + 1):
-                total += 2 * count(remaining - part * copies, part - 1)
-        return total
-
-    return count(n, n)
-
-
 # -- persistence ---------------------------------------------------------------
 #
 # Line-oriented text format:
@@ -189,21 +162,30 @@ def enumerate_overpartitions(n: int) -> int:
 
 _MAGIC = b"OPART v1"
 _ZERO = ord("0")
+_CHUNK = 1024  # records formatted, hashed and written at a time by save_table
+
+
+def _payload_chunks(values: Sequence[int]) -> Iterator[bytes]:
+    """The payload: the header line, then the records ``_CHUNK`` at a time."""
+    yield b"%s %d\n" % (_MAGIC, len(values) - 1)
+    for start in range(0, len(values), _CHUNK):
+        yield b"".join([b"%d\t%d\n" % record
+                        for record in enumerate(values[start:start + _CHUNK], start)])
 
 
 def save_table(table: OverpartitionTable, path) -> str:
-    """Write the table; returns the hex digest recorded in the trailer.
-
-    The bytes go to a temporary file next to ``path`` that then replaces it,
-    so an interrupted write never leaves a partial table under ``path``.
-    """
-    payload = b"".join([b"%s %d\n" % (_MAGIC, table.max_n),
-                        *(b"%d\t%d\n" % record for record in enumerate(table.values))])
-    digest = hashlib.sha256(payload).hexdigest()
+    """Write the table and return the hex digest its trailer records.  Each
+    chunk is hashed and written before the next is formatted, so the file is
+    never held whole.  The bytes go to a temporary file next to ``path`` that
+    then replaces it, so an interrupted write leaves no partial table there."""
+    sha = hashlib.sha256()
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     try:
         with open(partial, "wb") as fh:
-            fh.write(payload)
+            for chunk in _payload_chunks(table.values):
+                sha.update(chunk)
+                fh.write(chunk)
+            digest = sha.hexdigest()
             fh.write(f"#sha256 {digest}\n".encode("ascii"))
         os.replace(partial, path)
     except BaseException:
@@ -214,40 +196,45 @@ def save_table(table: OverpartitionTable, path) -> str:
 
 
 def load_table(path) -> OverpartitionTable:
+    """Read a table file line by line, in two passes.  Pass 1 hashes every
+    line before the trailer and checks the checksum, so a damaged file reports
+    ``checksum mismatch`` before any format error.  Pass 2 seeks back to the
+    start and parses one record at a time into the values list."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if len(lines) < 3:
-        raise TableFormatError("file too short to hold a table")
+        sha, lines, trailer = hashlib.sha256(), 0, b""
+        for line in fh:
+            sha.update(trailer)  # the line before this one: not the trailer
+            trailer = line
+            lines += 1
+        if lines < 3:
+            raise TableFormatError("file too short to hold a table")
+        if not trailer.startswith(b"#sha256 "):
+            raise TableFormatError("missing checksum trailer")
+        stated = trailer[len(b"#sha256 "):].decode("ascii", errors="replace").strip()
+        actual = sha.hexdigest()
+        if stated != actual:
+            raise TableFormatError(f"checksum mismatch: file says {stated}, content is {actual}")
 
-    trailer = lines[-1]
-    if not trailer.startswith(b"#sha256 "):
-        raise TableFormatError("missing checksum trailer")
-    stated = trailer[len(b"#sha256 "):].decode("ascii", errors="replace").strip()
-    # The payload is every byte before the trailer line, hashed in place.
-    end = len(raw) - len(trailer) - raw.endswith(b"\n")
-    actual = hashlib.sha256(memoryview(raw)[:end]).hexdigest()
-    if stated != actual:
-        raise TableFormatError(f"checksum mismatch: file says {stated}, content is {actual}")
+        # Every line before the trailer ends in a newline, which [:-1] drops.
+        fh.seek(0)
+        header = fh.readline()[:-1]
+        magic, _, max_field = header.rpartition(b" ")
+        if magic != _MAGIC:
+            raise TableFormatError(f"bad header line: {header!r}")
 
-    magic, _, max_field = lines[0].rpartition(b" ")
-    if magic != _MAGIC:
-        raise TableFormatError(f"bad header line: {lines[0]!r}")
-
-    values = []
-    for expected_n, line in enumerate(lines[1:-1]):
-        # Both fields plain decimals: ASCII digits, no leading zero but in 0.
-        # A missing or second tab leaves count empty or not all digits.
-        index, _, count = line.partition(b"\t")
-        if (not (index.isdigit() and count.isdigit())
-                or (index[0] == _ZERO and len(index) > 1) or (count[0] == _ZERO and len(count) > 1)):
-            raise TableFormatError(f"malformed record {line!r}: not <n>\\t<count> in plain decimals")
-        n = int(index)
-        if n != expected_n:
-            raise TableFormatError(f"record out of order: expected n={expected_n}, got {n}")
-        values.append(int(count))
+        values = []
+        for expected_n in range(lines - 2):
+            line = fh.readline()[:-1]
+            # Both fields plain decimals: ASCII digits, no leading zero but in 0.
+            # A missing or second tab leaves count empty or not all digits.
+            index, _, count = line.partition(b"\t")
+            if (not (index.isdigit() and count.isdigit())
+                    or (index[0] == _ZERO and len(index) > 1) or (count[0] == _ZERO and len(count) > 1)):
+                raise TableFormatError(f"malformed record {line!r}: not <n>\\t<count> in plain decimals")
+            n = int(index)
+            if n != expected_n:
+                raise TableFormatError(f"record out of order: expected n={expected_n}, got {n}")
+            values.append(int(count))
     # max_n as save_table writes it for these records, so it is plain too.
     if max_field != b"%d" % (len(values) - 1):
         raise TableFormatError(

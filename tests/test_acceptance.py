@@ -24,6 +24,7 @@ from math import gcd
 import pytest
 
 import context_kernels
+from enumeration_oracle import enumerate_overpartitions
 from overpart import (
     CertifiedInterval,
     SeriesParams,
@@ -36,7 +37,6 @@ from overpart import (
     check_log_concavity,
     check_multiplicative,
     check_strong_log_concavity,
-    enumerate_overpartitions,
     higher_turan_integer,
     jensen_cubic,
     main_term,

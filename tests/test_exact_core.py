@@ -12,11 +12,10 @@ from overpart import (
     OverpartitionTable,
     TableFormatError,
     build_table,
-    enumerate_overpartitions,
     load_table,
     save_table,
 )
-from overpart.exact_core import ENUMERATION_LIMIT
+from enumeration_oracle import ENUMERATION_LIMIT, enumerate_overpartitions
 
 # Counts of overpartitions of 0..8, frozen from the enumeration oracle.
 ORACLE_SMALL = [1, 2, 4, 8, 14, 24, 40, 64, 100]
@@ -114,21 +113,43 @@ def test_save_table_writes_the_pinned_bytes(tmp_path):
             == "666387197dbee49281591f07585d4c2dcfaacf53766f74878ebeab3241e0f964")
 
 
-def test_load_table_checks_the_payload_in_place(tmp_path):
-    # The checksum is taken over the bytes as read: loading pbar(0..31000),
-    # a 5 MB file, allocates at its peak less than 3.5 times the file, which
-    # a second copy of the payload would exceed.
-    table = build_table(31000)
-    path = tmp_path / "t.tbl"
-    save_table(table, path)
+@pytest.fixture(scope="module")
+def table31000():
+    return build_table(31000)
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the bytes it allocated, by tracemalloc."""
     tracemalloc.start()
     try:
-        loaded = load_table(path)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded == table
-    assert peak < 3.5 * path.stat().st_size
+    return result, peak
+
+
+def test_load_table_holds_the_values_not_the_file(table31000, tmp_path):
+    # Loading pbar(0..31000), a 5 MB file, reads it a line at a time: its
+    # allocation peak is the values themselves (about 0.7 of the file), below
+    # the file size, which any full copy of the file would reach.
+    path = tmp_path / "t.tbl"
+    save_table(table31000, path)
+    loaded, peak = _traced_peak(lambda: load_table(path))
+    assert loaded == table31000
+    assert peak < 1.0 * path.stat().st_size
+
+
+def test_save_table_streams_the_file(table31000, tmp_path):
+    # Saving pbar(0..31000) formats, hashes and writes a chunk of records at
+    # a time: beside the table it is given, it allocates at its peak less than
+    # half the 5 MB file it writes, whose bytes stay the pinned ones.
+    path = tmp_path / "t.tbl"
+    digest, peak = _traced_peak(lambda: save_table(table31000, path))
+    assert digest == "97f0633947bb127c600ef4b3cbecf6e8f0d2a404d0c5a188314642532fda5d84"
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "cac71e5f4eb57f76029e2a29c5e732873058778b07a89ed0f4acf6ccacdb8830")
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_memory_budget_guard():
@@ -240,6 +261,21 @@ def test_load_checksum_mismatch(tmp_path):
     data = path.read_bytes().replace(b"\t4\n", b"\t6\n", 1)
     path.write_bytes(data)
     with pytest.raises(TableFormatError, match="checksum"):
+        load_table(path)
+
+
+def test_load_checks_the_checksum_before_any_record(tmp_path):
+    # One malformed record: under the stale trailer the checksum is what
+    # fails; with the trailer recomputed, the record is.
+    path = tmp_path / "t.tbl"
+    save_table(build_table(10), path)
+    data = path.read_bytes().replace(b"\t4\n", b"\t+4\n", 1)
+    path.write_bytes(data)
+    with pytest.raises(TableFormatError, match="checksum"):
+        load_table(path)
+    payload = data[:data.rindex(b"#sha256 ")]
+    path.write_bytes(payload + f"#sha256 {hashlib.sha256(payload).hexdigest()}\n".encode())
+    with pytest.raises(TableFormatError, match="record"):
         load_table(path)
 
 

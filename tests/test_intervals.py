@@ -21,6 +21,7 @@ from mpmath.libmp.libmpi import (
 
 import context_kernels as oracle
 import overpart as op
+from enumeration_oracle import enumerate_overpartitions
 from overpart import CertifiedInterval
 from overpart import intervals as iv
 
@@ -357,7 +358,7 @@ INDEX_ENTRIES = {
     "omega_h": lambda h: op.omega(h, 7),
     "omega_k": lambda k: op.omega(1, k),
     "build_table": lambda max_n: op.build_table(max_n),
-    "enumerate_overpartitions": lambda n: op.enumerate_overpartitions(n),
+    "enumerate_overpartitions": lambda n: enumerate_overpartitions(n),
 }
 
 
