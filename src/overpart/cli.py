@@ -22,12 +22,13 @@ import csv
 import json
 import os
 import sys
-from itertools import chain
+from contextlib import closing, nullcontext
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, TextIO
 
 from . import exact_core
-from .exact_core import OverpartitionTable, TableFormatError, build_table, load_table, save_table
+from .exact_core import (OverpartitionTable, TableFormatError, atomic_output, build_table,
+                         load_table, save_table)
 from .intervals import DEFAULT_BITS, directed_decimal
 from .asymptotics import (
     SeriesParams,
@@ -41,7 +42,8 @@ from .verifiers import (
     CheckItem,
     CheckResult,
     CheckSpec,
-    run_campaign,
+    Verdict,
+    iter_campaign,
     solve_lambda_table,
 )
 
@@ -74,12 +76,13 @@ def write_report(items: Iterable[CheckItem], fmt: str, stream: TextIO) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def exit_code_for(results: Sequence[CheckResult]) -> int:
-    if any(result.counterexamples for result in results):
-        return EXIT_FAILS
-    if any(result.undecided for result in results):
-        return EXIT_UNDECIDED
-    return EXIT_OK
+def exit_code_for(results: Iterable[CheckResult]) -> int:
+    return _exit_code({item.verdict for result in results for item in result.items})
+
+
+def _exit_code(verdicts: Set[Verdict]) -> int:
+    return (EXIT_FAILS if Verdict.FAILS in verdicts
+            else EXIT_UNDECIDED if Verdict.UNDECIDED in verdicts else EXIT_OK)
 
 
 # -- table sourcing ------------------------------------------------------------------
@@ -149,19 +152,25 @@ def cmd_approx(args) -> int:
 
 def _run(specs: Sequence[CheckSpec], args) -> int:
     """Resolve the table the specs read, run them as one campaign and write
-    the report; the exit code follows the verdicts."""
+    each result's items as it arrives, keeping only its summary and verdicts;
+    a report file appears only once whole.  The exit code follows the verdicts."""
     top = max(spec.table_top for spec in specs)
     table = _resolve_table(args.table, top) if top else None
-    results = run_campaign(table, specs)
-    records = chain.from_iterable(result.items for result in results)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_report(records, args.format, fh)
-    else:
-        write_report(records, args.format, sys.stdout)
-    for result in results:
-        print(result.summary(), file=sys.stderr)
-    return exit_code_for(results)
+    summaries, verdicts = [], set()
+
+    def items(results: Iterable[CheckResult]) -> Iterator[CheckItem]:
+        for result in results:
+            summaries.append(result.summary())
+            verdicts.update(item.verdict for item in result.items)
+            yield from result.items
+            del result  # before the campaign builds the next one
+
+    report = atomic_output(args.out, newline="") if args.out else nullcontext(sys.stdout)
+    with closing(iter_campaign(table, specs)) as results, report as stream:
+        write_report(items(results), args.format, stream)
+    for summary in summaries:
+        print(summary, file=sys.stderr)
+    return _exit_code(verdicts)
 
 
 def cmd_verify(args) -> int:

@@ -173,25 +173,32 @@ def _payload_chunks(values: Sequence[int]) -> Iterator[bytes]:
                         for record in enumerate(values[start:start + _CHUNK], start)])
 
 
-def save_table(table: OverpartitionTable, path) -> str:
-    """Write the table and return the hex digest its trailer records.  Each
-    chunk is hashed and written before the next is formatted, so the file is
-    never held whole.  The bytes go to a temporary file next to ``path`` that
-    then replaces it, so an interrupted write leaves no partial table there."""
-    sha = hashlib.sha256()
+@contextlib.contextmanager
+def atomic_output(path, mode: str = "w", **options) -> Iterator:
+    """A temporary file next to ``path``, opened for writing, that replaces
+    ``path`` when the block ends and is removed when an exception leaves it."""
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     try:
-        with open(partial, "wb") as fh:
-            for chunk in _payload_chunks(table.values):
-                sha.update(chunk)
-                fh.write(chunk)
-            digest = sha.hexdigest()
-            fh.write(f"#sha256 {digest}\n".encode("ascii"))
+        with open(partial, mode, **options) as fh:
+            yield fh
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(partial)
         raise
+
+
+def save_table(table: OverpartitionTable, path) -> str:
+    """Write the table and return the hex digest its trailer records.  Each
+    chunk is hashed and written before the next is formatted, so the file is
+    never held whole, and the file appears under ``path`` only once whole."""
+    sha = hashlib.sha256()
+    with atomic_output(path, "wb") as fh:
+        for chunk in _payload_chunks(table.values):
+            sha.update(chunk)
+            fh.write(chunk)
+        digest = sha.hexdigest()
+        fh.write(f"#sha256 {digest}\n".encode("ascii"))
     return digest
 
 

@@ -13,13 +13,14 @@ report must surface, not fold into "holds".
 Every check is one entry of the ``CHECKS`` registry, which holds its lowest n,
 the table it needs, its subjects and its per-subject evaluator.  A
 :class:`CheckSpec` is validated against its entry when it is built, and
-records the table it needs; :func:`run_campaign` checks that the table covers
-every spec, then runs each exact spec in one pass over its subjects, and all
-interval specs, which have one subject per index n, as one sweep over n in
-(n, spec position) order; :func:`run_check` is a campaign of one spec.  The
-interval sweep is cut into contiguous blocks of n, one forked worker per
-available CPU, while the caller runs the exact specs; the caller collects the
-blocks in order, so the items, and the report, do not depend on the workers.
+records the table it needs.  :func:`iter_campaign` checks that the table
+covers every spec, then yields each spec's result in spec order once it is
+complete: an exact spec's from one pass over its subjects, run when asked for,
+and the interval specs', which have one subject per index n, from one sweep
+over n in (n, spec position) order, cut into contiguous blocks of n, one
+forked worker per available CPU.  The caller collects the blocks in order, so
+the items, and the report, do not depend on the workers; :func:`run_campaign`
+lists the results and :func:`run_check` is a campaign of one spec.
 
 The interval evaluators (``delta2-log`` here, the envelope gaps in
 :mod:`overpart.ratio_bounds`) and the lambda threshold gap compute on
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import repeat, zip_longest
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_cmp, mpf_sign
 from mpmath.libmp.libmpi import (
@@ -433,66 +434,72 @@ def _receive(worker) -> Optional[tuple]:
         return None
 
 
+def _exact_result(table, check: Check, spec: CheckSpec) -> CheckResult:
+    began = time.perf_counter()
+    items = [CheckItem(spec.name, label, *_exact_outcome(check.evaluate(table, subject)))
+             for label, subject in check.subjects(spec)]
+    return CheckResult(spec, items, time.perf_counter() - began)
+
+
 def run_check(table: Optional[OverpartitionTable], spec: CheckSpec) -> CheckResult:
     """The campaign of ``spec`` alone."""
     return run_campaign(table, [spec])[0]
 
 
-def run_campaign(
-    table: Optional[OverpartitionTable],
-    specs: Sequence[CheckSpec],
-) -> List[CheckResult]:
-    """Run the subjects of all specs, once ``table`` covers every spec.
+def run_campaign(table: Optional[OverpartitionTable],
+                 specs: Sequence[CheckSpec]) -> List[CheckResult]:
+    """Every result of :func:`iter_campaign`, in spec order."""
+    return list(iter_campaign(table, specs))
 
-    The interval specs run as one sweep over n in (n, spec position) order,
-    so the checks share one :class:`KernelData` per precision rung.  The
-    sweep is cut into contiguous blocks of n, one forked worker per
-    available CPU, while the caller runs each exact spec in one pass over its
-    own subjects.  With one block, without ``fork`` or beside other threads,
-    the caller runs the block itself.  A block whose worker raised or died is
-    run again by the caller, so the error is raised here; every worker is
-    stopped and reaped before this returns or raises.
 
-    Returns one result per spec, in spec order, with its items in subject
-    order; its ``wall_time`` is the busy time of its own subjects, summed
-    over blocks.
-    """
+def iter_campaign(table: Optional[OverpartitionTable],
+                  specs: Sequence[CheckSpec]) -> Iterator[CheckResult]:
+    """Yield each spec's result, in spec order, once it is complete; raises
+    IndexError at the call, before anything runs, unless ``table`` covers
+    every spec.  The first ``next`` forks the interval sweep's workers.  An
+    exact spec runs in the caller when its result is asked for; the first
+    interval spec's collects every block, running again in the caller a block
+    whose worker raised or died, so the error is raised here.  Every worker is
+    stopped and reaped when the iterator ends, raises or is closed.  A
+    result's ``wall_time`` is the busy time of its own subjects, summed over
+    blocks."""
     for spec in specs:
         if spec.table_top and (table is None or spec.table_top > table.max_n):
             have = "no table given" if table is None else f"table stops at {table.max_n}"
             raise IndexError(f"{spec.name} needs pbar(0..{spec.table_top}), {have}")
+    return _campaign(table, specs)
+
+
+def _campaign(table, specs: Sequence[CheckSpec]) -> Iterator[CheckResult]:
     checks = [CHECKS[spec.name] for spec in specs]
     interval = [position for position, check in enumerate(checks) if not check.exact]
     blocks = _blocks(sorted(n for position in interval
                             for n in range(specs[position].from_n, specs[position].to_n + 1)))
     sweep = (table, checks, specs, interval)
-    items: List[List[CheckItem]] = [[] for _ in specs]
+    items: Dict[int, List[CheckItem]] = {}  # per interval position, once every block is in
     seconds = [0.0] * len(specs)
     workers: list = []
     try:
         workers.extend(_start_workers(blocks, *sweep))  # each kept as soon as it is forked
         for position, (check, spec) in enumerate(zip(checks, specs)):
             if check.exact:
-                began = time.perf_counter()
-                items[position] = [CheckItem(spec.name, label,
-                                             *_exact_outcome(check.evaluate(table, subject)))
-                                   for label, subject in check.subjects(spec)]
-                seconds[position] = time.perf_counter() - began
-        for worker, block in zip_longest(workers, blocks):
-            columns, spent = _receive(worker) or _sweep_block(*sweep, *block)
-            for position in interval:
-                items[position].extend(map(CheckItem, repeat(specs[position].name),
-                                           *columns[position]))
-                seconds[position] += spent[position]
-            del columns  # before the next block arrives
+                yield _exact_result(table, check, spec)
+                continue
+            if not items:  # the first interval spec: every block is collected here
+                for worker, block in zip_longest(workers, blocks):
+                    columns, spent = _receive(worker) or _sweep_block(*sweep, *block)
+                    for at in interval:
+                        items.setdefault(at, []).extend(map(CheckItem, repeat(specs[at].name),
+                                                            *columns[at]))
+                        seconds[at] += spent[at]
+                    del columns  # before the next block arrives
+            yield CheckResult(spec, items.pop(position), seconds[position])
     finally:  # the one place a worker is stopped and reaped, so no signal reaches a reused pid
         for pid, reader in workers:
             from signal import SIGTERM  # as pickle, only a sweep that forked imports it
             reader.close()
             os.kill(pid, SIGTERM)
             os.waitpid(pid, 0)
-    return [CheckResult(spec=spec, items=found, wall_time=elapsed)
-            for spec, found, elapsed in zip(specs, items, seconds)]
 
 
 # -- the paper's checks -------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -245,6 +246,32 @@ def test_verify_internal_error_propagates(monkeypatch):
         run_cli("verify", "--check", "log-concavity", "--from", "2", "--to", "8")
 
 
+def test_report_file_appears_only_once_whole(tmp_path, monkeypatch, capsys):
+    # The report goes to a file beside --out that replaces it when the run
+    # ends with a verdict code; an exception after the first result's rows
+    # were written leaves the old report as it was, and no partial file.
+    out = tmp_path / "r.csv"
+    assert run_cli("verify", "--check", "higher-turan", "--from", "2", "--to", "15",
+                   "--out", str(out)) == EXIT_FAILS
+    old = out.read_bytes()
+    assert len(_parse_csv(old.decode())) == 14
+
+    def broken(table, n):
+        if n == 30:
+            raise IndexError("evaluator bug")
+        return 1
+
+    monkeypatch.setitem(CHECKS, "higher-turan",
+                        dataclasses.replace(CHECKS["higher-turan"], evaluate=broken))
+    monkeypatch.setitem(SUITES, "paper-desk", [CheckSpec("log-concavity", 2, 40),
+                                               CheckSpec("higher-turan", 2, 40)])
+    with pytest.raises(IndexError, match="evaluator bug"):
+        run_cli("campaign", "--out", str(out))
+    assert out.read_bytes() == old
+    assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+    capsys.readouterr()
+
+
 # One short slice per check, covering holds, equality and fails verdicts,
 # two-gap margins and (f-vs-q from 8 bits) a climbed rung.  The digests are
 # those of the report bytes before CheckItem became the report record.
@@ -344,6 +371,29 @@ def test_campaign_scaled_down(tmp_path, capsys, monkeypatch):
     names = {r["check"] for r in records}
     assert names == {spec.name for spec in tiny}
     assert captured.err.count("\n") == len(tiny)  # one summary line per check
+
+
+def _campaign_peak(specs, out, monkeypatch):
+    """The tracemalloc peak of `opart campaign` on ``specs``, its report to ``out``."""
+    monkeypatch.setitem(SUITES, "paper-desk", specs)
+    tracemalloc.start()
+    try:
+        assert run_cli("campaign", "--out", str(out)) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_campaign_holds_one_exact_result_at_a_time(tmp_path, monkeypatch, capsys):
+    # Two exact specs of about 45,000 report lines each: the CLI writes each
+    # result as it arrives and drops it before the next is built, so the pair
+    # peaks about where the larger spec alone does.  Holding both results, or
+    # every report line, would about double that.
+    pair = [CheckSpec("strong-log-concavity", 2, 300, params={"m_policy": 1}),
+            CheckSpec("multiplicative", 2, 300, params={"a_max": 300})]
+    alone = max(_campaign_peak([spec], tmp_path / "r.csv", monkeypatch) for spec in pair)
+    assert _campaign_peak(pair, tmp_path / "r.csv", monkeypatch) < 1.25 * alone
+    capsys.readouterr()
 
 
 def test_campaign_has_no_bits_flag(capsys):

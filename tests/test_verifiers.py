@@ -35,7 +35,7 @@ from overpart import (
     run_campaign,
 )
 import context_kernels as oracle
-from overpart import ratio_bounds, verifiers
+from overpart import cli, ratio_bounds, verifiers
 from overpart.cli import DESK_SUITE, records_from_results, write_report
 from overpart.intervals import DEFAULT_BITS, MAX_BITS, rational_mpi
 from overpart.ratio_bounds import KernelData
@@ -586,6 +586,35 @@ def test_a_caller_with_other_threads_runs_its_blocks_itself(monkeypatch):
     assert not other.is_alive() and started == [0]
 
 
+class _ClosingPipe(io.StringIO):
+    """Standard output whose reader goes away after a few report rows."""
+
+    def write(self, text):
+        if self.getvalue().count("\n") > 5:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_broken_report_stream_stops_the_workers(monkeypatch, capsys):
+    # The pipe breaks in the rows of the exact spec, while both workers of
+    # the interval sweep may still run: the CLI closes the campaign, which
+    # stops and reaps them, and exits with the I/O error.  The campaign is
+    # kept referenced here, so only that explicit close can reap them.
+    started, campaigns = _count_workers(monkeypatch, 2), []
+
+    def keeping(*args):
+        campaigns.append(verifiers.iter_campaign(*args))
+        return campaigns[-1]
+
+    monkeypatch.setattr(cli, "iter_campaign", keeping)
+    monkeypatch.setitem(cli.SUITES, "paper-desk", [CheckSpec("log-concavity", 2, 40), TWO_BLOCKS])
+    monkeypatch.setattr(sys, "stdout", _ClosingPipe())
+    assert cli.main(["campaign"]) == cli.EXIT_ERROR
+    assert started == [2] and len(campaigns) == 1
+    assert_no_child_left()
+    assert "Broken pipe" in capsys.readouterr().err
+
+
 def _run_script(script):
     """Run ``script`` in a fresh interpreter on this checkout's package, with
     PYTHONUNBUFFERED unset, so its standard streams, both pipes, are buffered."""
@@ -669,6 +698,21 @@ def test_run_campaign_validates_every_spec_before_sweeping(desk_table, monkeypat
         run_campaign(small, [CheckSpec("log-concavity", 2, 10), CheckSpec("higher-turan", 2, 10)])
     assert calls == []
     assert len(run_campaign(small, [CheckSpec("log-concavity", 2, 10)])[0].items) == len(calls) == 9
+
+
+def test_iter_campaign_validates_before_the_first_next(desk_table, monkeypatch):
+    # Table coverage is checked when iter_campaign is called, before any
+    # worker is forked; the first next forks them.
+    started = _count_workers(monkeypatch, 2)
+    small = OverpartitionTable(desk_table.values[:12])
+    with pytest.raises(IndexError):
+        verifiers.iter_campaign(small, [TWO_BLOCKS, CheckSpec("higher-turan", 2, 10)])
+    specs = [TWO_BLOCKS, CheckSpec("log-concavity", 2, 10)]
+    results = verifiers.iter_campaign(small, specs)
+    assert started == []
+    assert [result.spec for result in results] == specs
+    assert started == [2]
+    assert_no_child_left()
 
 
 def test_check_spec_validation():
