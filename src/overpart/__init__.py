@@ -60,7 +60,6 @@ from .verifiers import (
     check_multiplicative,
     check_strong_log_concavity,
     check_u_monotone,
-    iter_campaign,
     pair_threshold_gap,
     run_campaign,
     solve_lambda_table,
@@ -94,7 +93,6 @@ __all__ = [
     "check_u_monotone",
     "diagonal_gap",
     "higher_turan_integer",
-    "iter_campaign",
     "jensen_cubic",
     "load_table",
     "main_term",

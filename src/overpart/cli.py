@@ -76,11 +76,7 @@ def write_report(items: Iterable[CheckItem], fmt: str, stream: TextIO) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def exit_code_for(results: Iterable[CheckResult]) -> int:
-    return _exit_code({item.verdict for result in results for item in result.items})
-
-
-def _exit_code(verdicts: Set[Verdict]) -> int:
+def exit_code_for(verdicts: Set[Verdict]) -> int:
     return (EXIT_FAILS if Verdict.FAILS in verdicts
             else EXIT_UNDECIDED if Verdict.UNDECIDED in verdicts else EXIT_OK)
 
@@ -151,9 +147,8 @@ def cmd_approx(args) -> int:
 
 
 def _run(specs: Sequence[CheckSpec], args) -> int:
-    """Resolve the table the specs read, run them as one campaign and write
-    each result's items as it arrives, keeping only its summary and verdicts;
-    a report file appears only once whole.  The exit code follows the verdicts."""
+    """Resolve the table the specs read, run them as one campaign and write each
+    result's items as it arrives, keeping only its summary and verdicts."""
     top = max(spec.table_top for spec in specs)
     table = _resolve_table(args.table, top) if top else None
     summaries, verdicts = [], set()
@@ -168,9 +163,8 @@ def _run(specs: Sequence[CheckSpec], args) -> int:
     report = atomic_output(args.out, newline="") if args.out else nullcontext(sys.stdout)
     with closing(iter_campaign(table, specs)) as results, report as stream:
         write_report(items(results), args.format, stream)
-    for summary in summaries:
-        print(summary, file=sys.stderr)
-    return _exit_code(verdicts)
+    print(*summaries, sep="\n", file=sys.stderr)
+    return exit_code_for(verdicts)
 
 
 def cmd_verify(args) -> int:

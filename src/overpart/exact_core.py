@@ -27,6 +27,7 @@ import contextlib
 import hashlib
 import math
 import os
+import stat
 from typing import Iterator, Sequence, Tuple
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes
@@ -175,16 +176,26 @@ def _payload_chunks(values: Sequence[int]) -> Iterator[bytes]:
 
 @contextlib.contextmanager
 def atomic_output(path, mode: str = "w", **options) -> Iterator:
-    """A temporary file next to ``path``, opened for writing, that replaces
-    ``path`` when the block ends and is removed when an exception leaves it."""
+    """A temporary file next to ``path``, with the mode bits of the file it
+    replaces, that replaces ``path`` when the block ends and is removed when an
+    exception leaves it.  A device, pipe or symlink is written through instead."""
+    old = os.lstat(path) if os.path.lexists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, mode, **options) as fh:
+            yield fh
+        return
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     try:
         with open(partial, mode, **options) as fh:
+            if old is not None:
+                os.chmod(partial, stat.S_IMODE(old.st_mode))
             yield fh
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(partial)
+        if isinstance(exc, OSError) and (exc.filename, exc.filename2) == (partial, None):
+            exc.filename = os.fspath(path)  # errors name the file asked for
         raise
 
 

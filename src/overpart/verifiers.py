@@ -454,15 +454,12 @@ def run_campaign(table: Optional[OverpartitionTable],
 
 def iter_campaign(table: Optional[OverpartitionTable],
                   specs: Sequence[CheckSpec]) -> Iterator[CheckResult]:
-    """Yield each spec's result, in spec order, once it is complete; raises
+    """Yield each spec's result, in spec order, once it is complete.  Raises
     IndexError at the call, before anything runs, unless ``table`` covers
-    every spec.  The first ``next`` forks the interval sweep's workers.  An
-    exact spec runs in the caller when its result is asked for; the first
-    interval spec's collects every block, running again in the caller a block
-    whose worker raised or died, so the error is raised here.  Every worker is
-    stopped and reaped when the iterator ends, raises or is closed.  A
-    result's ``wall_time`` is the busy time of its own subjects, summed over
-    blocks."""
+    every spec; the first ``next`` forks the workers, and the iterator stops
+    and reaps them when it ends, raises or is closed.  A block whose worker
+    raised or died runs again in the caller, so its error is raised here; a
+    result's ``wall_time`` is the busy time of its own subjects, over blocks."""
     for spec in specs:
         if spec.table_top and (table is None or spec.table_top > table.max_n):
             have = "no table given" if table is None else f"table stops at {table.max_n}"

@@ -3,12 +3,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import stat
 import tracemalloc
 
 import pytest
 
 from overpart import build_table, save_table
 from overpart.cli import (
+    EXIT_ERROR,
     EXIT_FAILS,
     EXIT_OK,
     EXIT_UNDECIDED,
@@ -20,7 +23,7 @@ from overpart.cli import (
     records_from_results,
     write_report,
 )
-from overpart.verifiers import CHECKS, CheckItem, CheckResult, CheckSpec, Verdict
+from overpart.verifiers import CHECKS, CheckItem, CheckSpec, Verdict
 
 
 def run_cli(*argv):
@@ -272,6 +275,33 @@ def test_report_file_appears_only_once_whole(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_report_out_keeps_what_it_names(tmp_path, capsys):
+    # A symlink or a pipe given as --out is written through and stays what it
+    # was; a report file that is replaced keeps its mode bits; an error names
+    # the --out path, not the temporary file beside it.
+    argv = ("verify", "--check", "log-concavity", "--from", "2", "--to", "5", "--out")
+    target, link, fifo = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fifo"
+    link.symlink_to(target)
+    assert run_cli(*argv, str(link)) == EXIT_OK
+    assert link.is_symlink() and len(_parse_csv(target.read_text())) == 4
+    target.chmod(0o640)
+    assert run_cli(*argv, str(target)) == EXIT_OK
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(*argv, str(fifo)) == EXIT_OK
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == target.read_bytes()
+    finally:
+        os.close(reader)
+    missing = tmp_path / "nodir" / "r.csv"
+    capsys.readouterr()
+    assert run_cli(*argv, str(missing)) == EXIT_ERROR
+    assert f"'{missing}'" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link.csv", "target.csv"]
+
+
 # One short slice per check, covering holds, equality and fails verdicts,
 # two-gap margins and (f-vs-q from 8 bits) a climbed rung.  The digests are
 # those of the report bytes before CheckItem became the report record.
@@ -429,16 +459,11 @@ def test_csv_quoting_round_trip():
 
 
 def test_exit_code_for_synthetic_results():
-    spec = CheckSpec("log-concavity", 1, 1)
-
-    def result(verdict):
-        return CheckResult(spec, [CheckItem("log-concavity", "n=1", verdict, "0", 0)], 0.0)
-
-    assert exit_code_for([result(Verdict.HOLDS)]) == EXIT_OK
-    assert exit_code_for([result(Verdict.EQUALITY)]) == EXIT_OK
-    assert exit_code_for([result(Verdict.FAILS)]) == EXIT_FAILS
-    assert exit_code_for([result(Verdict.UNDECIDED)]) == EXIT_UNDECIDED
-    assert exit_code_for([result(Verdict.FAILS), result(Verdict.UNDECIDED)]) == EXIT_FAILS
+    assert exit_code_for({Verdict.HOLDS}) == EXIT_OK
+    assert exit_code_for({Verdict.EQUALITY}) == EXIT_OK
+    assert exit_code_for({Verdict.FAILS}) == EXIT_FAILS
+    assert exit_code_for({Verdict.UNDECIDED}) == EXIT_UNDECIDED
+    assert exit_code_for({Verdict.FAILS, Verdict.UNDECIDED}) == EXIT_FAILS
 
 
 def test_records_from_results(desk_table):
