@@ -166,6 +166,11 @@ _ZERO = ord("0")
 _CHUNK = 1024  # records formatted, hashed and written at a time by save_table
 
 
+def _plain(field: bytes) -> bool:
+    """ASCII digits without a leading zero, or ``0`` itself."""
+    return field.isdigit() and (field[0] != _ZERO or len(field) == 1)
+
+
 def _payload_chunks(values: Sequence[int]) -> Iterator[bytes]:
     """The payload: the header line, then the records ``_CHUNK`` at a time."""
     yield b"%s %d\n" % (_MAGIC, len(values) - 1)
@@ -214,45 +219,40 @@ def save_table(table: OverpartitionTable, path) -> str:
 
 
 def load_table(path) -> OverpartitionTable:
-    """Read a table file line by line, in two passes.  Pass 1 hashes every
-    line before the trailer and checks the checksum, so a damaged file reports
-    ``checksum mismatch`` before any format error.  Pass 2 seeks back to the
-    start and parses one record at a time into the values list."""
+    """Read a table file in one pass: hash each line and, once the next line
+    shows it is not the trailer, parse it.  The first format error is raised
+    only after the checksum passes, so only hashed bytes are ever returned."""
+    sha, values, error, lines, last = hashlib.sha256(), [], None, 0, b""
     with open(path, "rb") as fh:
-        sha, lines, trailer = hashlib.sha256(), 0, b""
         for line in fh:
-            sha.update(trailer)  # the line before this one: not the trailer
-            trailer = line
-            lines += 1
-        if lines < 3:
-            raise TableFormatError("file too short to hold a table")
-        if not trailer.startswith(b"#sha256 "):
-            raise TableFormatError("missing checksum trailer")
-        stated = trailer[len(b"#sha256 "):].decode("ascii", errors="replace").strip()
-        actual = sha.hexdigest()
-        if stated != actual:
-            raise TableFormatError(f"checksum mismatch: file says {stated}, content is {actual}")
-
-        # Every line before the trailer ends in a newline, which [:-1] drops.
-        fh.seek(0)
-        header = fh.readline()[:-1]
-        magic, _, max_field = header.rpartition(b" ")
-        if magic != _MAGIC:
-            raise TableFormatError(f"bad header line: {header!r}")
-
-        values = []
-        for expected_n in range(lines - 2):
-            line = fh.readline()[:-1]
-            # Both fields plain decimals: ASCII digits, no leading zero but in 0.
-            # A missing or second tab leaves count empty or not all digits.
-            index, _, count = line.partition(b"\t")
-            if (not (index.isdigit() and count.isdigit())
-                    or (index[0] == _ZERO and len(index) > 1) or (count[0] == _ZERO and len(count) > 1)):
-                raise TableFormatError(f"malformed record {line!r}: not <n>\\t<count> in plain decimals")
-            n = int(index)
-            if n != expected_n:
-                raise TableFormatError(f"record out of order: expected n={expected_n}, got {n}")
-            values.append(int(count))
+            sha.update(last)  # a line follows it: not the trailer
+            record = last[:-1]  # every line before the trailer ends in a newline
+            if lines == 1:
+                magic, _, max_field = record.rpartition(b" ")
+                error = None if magic == _MAGIC else TableFormatError(f"bad header line: {record!r}")
+            elif lines and error is None:
+                # Record n is b"%d\t<count>" % n.  A missing or second tab leaves count not all digits.
+                index, _, count = record.partition(b"\t")
+                if index == b"%d" % len(values) and _plain(count):
+                    try:
+                        values.append(int(count))
+                    except ValueError as exc:  # past the interpreter's int/str digit limit
+                        error = TableFormatError(f"record n={len(values)} does not load: {exc}")
+                else:
+                    error = TableFormatError(
+                        f"record out of order: expected n={len(values)}, got {index.decode()}"
+                        if _plain(index) and _plain(count) else
+                        f"malformed record {record!r}: not <n>\\t<count> in plain decimals")
+            last, lines = line, lines + 1
+    if lines < 3:
+        raise TableFormatError("file too short to hold a table")
+    if not last.startswith(b"#sha256 "):
+        raise TableFormatError("missing checksum trailer")
+    stated, actual = last[len(b"#sha256 "):].decode("ascii", errors="replace").strip(), sha.hexdigest()
+    if stated != actual:
+        raise TableFormatError(f"checksum mismatch: file says {stated}, content is {actual}")
+    if error is not None:
+        raise error
     # max_n as save_table writes it for these records, so it is plain too.
     if max_field != b"%d" % (len(values) - 1):
         raise TableFormatError(

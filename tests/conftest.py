@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -26,6 +29,21 @@ def desk_table():
 @pytest.fixture(scope="session")
 def lambda_table():
     return solve_lambda_table()
+
+
+@pytest.fixture
+def long_count_table(tmp_path):
+    """A checksum-valid table file whose count for n = 8 has 5,001 digits,
+    under CPython's default int/str digit limit of 4,300 (3.10.7 on), set here
+    so the test does not depend on the interpreter's setting, restored after."""
+    path = tmp_path / "long.tbl"
+    records = [f"{n}\t{v}\n" for n, v in enumerate([1, 2, 4, 8, 14, 24, 40, 64])]
+    payload = "".join(["OPART v1 8\n", *records, "8\t" + "1" * 5001 + "\n"]).encode()
+    path.write_bytes(payload + b"#sha256 %s\n" % hashlib.sha256(payload).hexdigest().encode())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield path
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -5,10 +5,14 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import overpart
 from overpart import build_table, save_table
 from overpart.cli import (
     EXIT_ERROR,
@@ -28,6 +32,19 @@ from overpart.verifiers import CHECKS, CheckItem, CheckSpec, Verdict
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_import_leaves_the_fork_machinery_unloaded():
+    # Every `opart` run starts by importing overpart and overpart.cli; only a
+    # forked sweep needs pickle, signal or multiprocessing, so importing any of
+    # them up front would add to the start-up time of every run.
+    source = str(Path(overpart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, overpart, overpart.cli\n"
+              "print(sorted({'pickle', 'signal', 'multiprocessing'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # -- table ------------------------------------------------------------------------
@@ -81,6 +98,11 @@ def test_value_env_table_too_small(tmp_path, capsys, monkeypatch):
     save_table(build_table(5), path)
     monkeypatch.setenv("OPART_TABLE", str(path))
     assert run_cli("value", "8") == 1
+
+
+def test_value_reports_a_count_past_the_int_digit_limit(long_count_table, capsys):
+    assert run_cli("value", "1", "--table", str(long_count_table)) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: record n=8 does not load: ")
 
 
 def test_value_negative(capsys):

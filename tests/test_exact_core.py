@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import tempfile
 import tracemalloc
@@ -361,6 +362,55 @@ def test_load_accepts_the_plain_zero(tmp_path):
     path = tmp_path / "t.tbl"
     _write_checksummed(path, "OPART v1 0", ["0\t1"])
     assert load_table(path) == build_table(0)
+
+
+def test_load_names_a_count_past_the_int_digit_limit(long_count_table):
+    with pytest.raises(TableFormatError, match="record n=8"):
+        load_table(long_count_table)
+
+
+class _ReadChanges(io.BytesIO):
+    """Serves ``before``; once bytes have been read, ``after`` stands in their
+    place, as when a file is rewritten in place while it is read.  Counts the
+    bytes read."""
+
+    def __init__(self, before, after):
+        super().__init__(before)
+        self.after, self.bytes_read = after, 0
+
+    def _changed(self, data):
+        end = self.tell()
+        with self.getbuffer() as buffer:
+            buffer[end - len(data):end] = self.after[end - len(data):end]
+        self.bytes_read += len(data)
+        return data
+
+    def read(self, size=-1):
+        return self._changed(super().read(size))
+
+    def readline(self, size=-1):
+        return self._changed(super().readline(size))
+
+    def __next__(self):
+        return self._changed(super().__next__())
+
+
+def test_load_returns_only_the_bytes_it_hashed(tmp_path, monkeypatch):
+    # Once read, the bytes become the same file with pbar(4) = 16: the same
+    # line count under a now stale trailer.  A loader that reads the file
+    # twice parses 16 the second time, a value its checksum never covered.
+    from overpart import exact_core
+
+    before = _saved_bytes(build_table(10))
+    after = before.replace(b"\n4\t14\n", b"\n4\t16\n")
+    assert after != before and len(after) == len(before)
+    served = _ReadChanges(before, after)
+    monkeypatch.setattr(exact_core, "open", lambda path, mode="r": served, raising=False)
+    try:
+        assert load_table(tmp_path / "unused.tbl")[4] == 14
+    except TableFormatError:
+        pass
+    assert served.bytes_read == len(before)
 
 
 def test_table_is_read_only_view():

@@ -197,12 +197,8 @@ def test_interval_margins_have_consistent_sign(desk_table):
 # -- the precision ladder on real data and on synthetic gaps ------------------------------
 
 # Each interval check's range in the paper-desk suite.
-DESK_INTERVAL_RANGES = {
-    "delta2-log": (2, 5000),
-    "fg-sandwich": (55, 2000),
-    "g-vs-f-shift": (2, 5614),
-    "f-vs-q": (92, 5000),
-}
+DESK_INTERVAL_RANGES = {spec.name: (spec.from_n, spec.to_n) for spec in DESK_SUITE
+                        if not verifiers.CHECKS[spec.name].exact}
 
 
 @pytest.mark.parametrize("name", sorted(DESK_INTERVAL_RANGES))
